@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -451,10 +452,18 @@ def main(argv=None) -> int:
     except (BadArgumentError, MarginalAmbiguityError) as exc:
         print(f"bad argument: {exc}", file=sys.stderr)
         return EXIT_BAD_ARGUMENT
-    if args.json:
-        print(report.to_json())
-    else:
-        print(report.render_text())
+    try:
+        if args.json:
+            print(report.to_json())
+        else:
+            print(report.render_text())
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe early (``| head``).  Point stdout at
+        # devnull so the interpreter's flush at exit does not raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return EXIT_OK
 
 

@@ -6,9 +6,13 @@ representation the two screening-off conditions hold automatically:
 preparation distributions carry no measurement argument (no-conspiracy)
 and responses carry no preparation argument (lambda-sufficiency).
 
-The existence search enumerates deterministic outcome assignments to the
+The existence search ranges over deterministic outcome assignments to the
 basic measurements only; noncontextual value-definite responses factorize,
-so nothing more general can exist.
+so nothing more general can exist.  It is a depth-first search that checks
+each maximal joint's support as soon as all its members have values and
+cuts every branch that can no longer succeed: at the first violated joint
+when looking for a model, and once the violations reach the best count
+found so far when minimizing them (branch and bound).
 """
 
 from __future__ import annotations
@@ -191,12 +195,7 @@ def recovers(
 
 def is_value_definite(model: OntologicalModel) -> bool:
     """True iff every maximal-joint response probability is exactly 0 or 1."""
-    for joint in model.maximal_joints():
-        for lam in model.ontic_states:
-            for value in model.response(joint, lam).values():
-                if not (value == 0 or value == 1):
-                    return False
-    return True
+    return not _value_definiteness_witnesses(model)
 
 
 def _value_definiteness_witnesses(model: OntologicalModel) -> tuple:
@@ -247,21 +246,7 @@ def is_noncontextual(model: OntologicalModel, tol: float | None = None) -> tuple
 def factorizes(model: OntologicalModel, tol: float = RESPONSE_TOL) -> bool:
     """True iff every joint response is the product of the members' own
     single-measurement responses."""
-    for joint in model.family:
-        if len(joint) < 2:
-            continue
-        order = model.component_order(joint)
-        for lam in model.ontic_states:
-            for outcomes in model.outcome_tuples(joint):
-                prod = 1.0
-                for label, outcome in zip(order, outcomes):
-                    prod *= float(
-                        model.response_probability(frozenset({label}), (outcome,), lam)
-                    )
-                direct = float(model.response_probability(joint, outcomes, lam))
-                if abs(direct - prod) > tol:
-                    return False
-    return True
+    return not _factorization_witnesses(model, tol)
 
 
 def _factorization_witnesses(model: OntologicalModel, tol: float = RESPONSE_TOL) -> tuple:
@@ -364,15 +349,17 @@ def classify_model(model: OntologicalModel, theory: OperationalTheory) -> ModelV
 # -- existence search --------------------------------------------------------
 
 
-def _deterministic_assignments(theory: OperationalTheory):
-    """All outcome-label assignments to the basics, in declaration order."""
-    labels = [m.label for m in theory.basics]
-    outcome_sets = [theory.measurement(label).outcome_labels for label in labels]
-    for combo in product(*outcome_sets):
-        yield dict(zip(labels, combo))
+def _depth_first(theory: OperationalTheory, cap: int, bound: int, leaf) -> int:
+    """Depth-first search over outcome assignments to the basics.
 
-
-def _enumerate_against_supports(theory: OperationalTheory, cap: int):
+    Basics get values in declaration order, each trying its outcome labels
+    in order, so leaves come in ``itertools.product`` order.  A maximal
+    joint is checked against its support when its last member (in
+    declaration order) gets a value, and a branch is cut as soon as its
+    number of violated joints reaches ``bound``.  ``leaf(values, violated)``
+    is called for every leaf that is not cut and returns the new bound; the
+    search stops once the bound is 0.  Returns the final bound.
+    """
     for m in theory.basics:
         if len(m.outcomes) != 2:
             raise ValueError(f"search needs two-valued basics; {m.label} has {len(m.outcomes)}")
@@ -380,16 +367,35 @@ def _enumerate_against_supports(theory: OperationalTheory, cap: int):
         raise CapExceededError(
             f"{len(theory.basics)} basic measurements exceeds the cap of {cap}"
         )
-    joints = theory.maximal_joints
-    supports = {joint: frozenset(support(theory, joint)) for joint in joints}
-    orders = {joint: theory.component_order(joint) for joint in joints}
-    for assignment in _deterministic_assignments(theory):
-        violated = [
-            joint
-            for joint in joints
-            if tuple(assignment[label] for label in orders[joint]) not in supports[joint]
-        ]
-        yield assignment, violated
+    options = [m.outcome_labels for m in theory.basics]
+    index = {m.label: i for i, m in enumerate(theory.basics)}
+    # due[d]: (member positions, support) of the joints whose last member is basic d
+    due = [[] for _ in options]
+    for joint in theory.maximal_joints:
+        positions = tuple(index[label] for label in theory.component_order(joint))
+        due[positions[-1]].append((positions, frozenset(support(theory, joint))))
+    values = [None] * len(options)
+
+    def descend(depth: int, violated: int) -> None:
+        nonlocal bound
+        if depth == len(options):
+            bound = leaf(tuple(values), violated)
+            return
+        for label in options[depth]:
+            values[depth] = label
+            count = violated
+            for positions, allowed in due[depth]:
+                if tuple([values[p] for p in positions]) not in allowed:
+                    count += 1
+                    if count >= bound:
+                        break
+            if count < bound:
+                descend(depth + 1, count)
+                if bound == 0:
+                    return
+
+    descend(0, 0)
+    return bound
 
 
 def search_ncvd(
@@ -397,17 +403,22 @@ def search_ncvd(
 ) -> OntologicalModel | None:
     """Search for a noncontextual value-definite model of the theory.
 
-    Enumerates every deterministic outcome assignment to the basic
-    measurements; an assignment survives iff each maximal joint's induced
-    tuple lies in that joint's support.  Returns a model with one ontic
-    state per surviving assignment (uniform preparation weights), or None
-    when no assignment survives.
+    An outcome assignment to the basic measurements survives iff each
+    maximal joint's induced tuple lies in that joint's support.  The
+    depth-first search cuts a branch at its first violated joint, so only
+    prefixes that still fit every checked support are extended.  Returns a
+    model with one ontic state per surviving assignment, in
+    ``itertools.product`` order over the basics' outcome labels (uniform
+    preparation weights), or None when no assignment survives.
     """
-    accepted = [
-        assignment
-        for assignment, violated in _enumerate_against_supports(theory, cap)
-        if not violated
-    ]
+    labels = [m.label for m in theory.basics]
+    accepted = []
+
+    def keep(values, violated):
+        accepted.append(dict(zip(labels, values)))
+        return 1
+
+    _depth_first(theory, cap, 1, keep)
     if not accepted:
         return None
     comeasurable = [tuple(j) for j in theory.family]
@@ -420,15 +431,14 @@ def min_violation_fraction(theory: OperationalTheory, cap: int = SEARCH_CAP) -> 
     """Minimum, over all deterministic noncontextual assignments, of the
     fraction of maximal joints whose induced outcome falls outside the
     support.  Exact rational; 0 iff a noncontextual value-definite model
-    exists."""
+    exists.
+
+    Branch and bound on the number of violated joints: each leaf reached
+    sets a new best, a branch is cut once its count reaches the best, and
+    the search returns as soon as an assignment violates nothing.
+    """
     n_joints = len(theory.maximal_joints)
-    best: int | None = None
-    for _, violated in _enumerate_against_supports(theory, cap):
-        count = len(violated)
-        if best is None or count < best:
-            best = count
-            if best == 0:
-                break
-    if best is None:
+    best = _depth_first(theory, cap, n_joints + 1, lambda values, violated: violated)
+    if not n_joints:
         raise ValueError("theory has no maximal joints to violate")
     return Fraction(best, n_joints)

@@ -146,6 +146,8 @@ def _parse_realization(doc: Any, labels: list[str], path: str) -> Realization:
     if not isinstance(doc, dict) or "assoc" not in doc:
         _fail("realization needs an 'assoc' block", path)
     assoc_doc = doc["assoc"]
+    if not isinstance(assoc_doc, dict):
+        _fail("'assoc' must map vertex labels to measurement lists", f"{path}.assoc")
     index_of = {label: i for i, label in enumerate(labels)}
     assoc: list[set[str]] = [set() for _ in labels]
     for vertex_label, measurements in assoc_doc.items():
@@ -160,12 +162,15 @@ def _parse_realization(doc: Any, labels: list[str], path: str) -> Realization:
     comeasurable = doc.get("comeasurable", [])
     if not isinstance(comeasurable, list):
         _fail("'comeasurable' must be a list of label sets", f"{path}.comeasurable")
+    function_tags = doc.get("function_tags", [])
+    if not isinstance(function_tags, list):
+        _fail("'function_tags' must be a list of tags", f"{path}.function_tags")
     tags = {}
-    for i, item in enumerate(doc.get("function_tags", [])):
+    for i, item in enumerate(function_tags):
         tpath = f"{path}.function_tags[{i}]"
         if not isinstance(item, dict) or not {"vertex", "measurement", "tag"} <= set(item):
             _fail("tag needs 'vertex', 'measurement' and 'tag'", tpath)
-        if item["vertex"] not in index_of:
+        if not isinstance(item["vertex"], str) or item["vertex"] not in index_of:
             _fail(f"unknown vertex {item['vertex']!r}", tpath)
         tags[(index_of[item["vertex"]], str(item["measurement"]))] = str(item["tag"])
     try:

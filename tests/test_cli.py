@@ -1,7 +1,12 @@
 """CLI verbs, exit codes, JSON round-trips."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import kscheck
 from kscheck.cli import Report, main
 
 SINGLE_EDGE = {
@@ -215,6 +220,38 @@ class TestExitCodesAndDeterminism:
         code, _, err = run(capsys, "verify", str(path))
         assert code == 2
         assert "parse error" in err
+
+    def test_malformed_realization_blocks_exit_two(self, capsys, tmp_path):
+        assoc = {"a": ["a"], "b": ["b"], "c": ["c"]}
+        blocks = {
+            "assoc": {"assoc": [["a"], ["b"], ["c"]]},
+            "function_tags": {"assoc": assoc, "function_tags": 7},
+            "function_tags[0]": {
+                "assoc": assoc,
+                "function_tags": [{"vertex": ["a"], "measurement": "a", "tag": "t"}],
+            },
+        }
+        for n, (key, block) in enumerate(blocks.items()):
+            path = tmp_path / f"bad{n}.json"
+            path.write_text(json.dumps({**SINGLE_EDGE, "realizations": {"r": block}}))
+            for verb in ("verify", "classify", "search-model"):
+                code, _, err = run(capsys, verb, str(path))
+                assert code == 2, (key, verb)
+                assert f"$.realizations.r.{key}:" in err
+
+    def test_closed_pipe_exits_quietly(self):
+        src = str(Path(kscheck.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "kscheck.cli", "catalog", "peres-mermin", "--json"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        proc.stdout.close()  # the reader goes away before the report is written
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 0
+        assert "Traceback" not in err
 
     def test_invalid_graph_exit_three(self, capsys, tmp_path):
         doc = {

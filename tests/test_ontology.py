@@ -1,8 +1,11 @@
 """Ontological models: the five flags, existence search, robustness bound."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kscheck.errors import CapExceededError
 from kscheck.graph import build_graph, search_assignments
@@ -17,7 +20,13 @@ from kscheck.ontology import (
     satisfies_spekkens,
     search_ncvd,
 )
-from kscheck.operational import Measurement, OperationalTheory, from_quantum, is_nondisturbing
+from kscheck.operational import (
+    Measurement,
+    OperationalTheory,
+    from_quantum,
+    is_nondisturbing,
+    support,
+)
 from kscheck.quantum import DensityOperator
 from kscheck.realization import Realization
 
@@ -47,6 +56,68 @@ def free_support_theory():
         }
     }
     return OperationalTheory((a, b), (("a", "b"),), ("r",), tables)
+
+
+def two_squares_theory():
+    """Two disjoint Peres-Mermin squares as parity tables (rows multiply to
+    +1, columns to +1, +1, -1), uniform over each line's allowed tuples:
+    18 basics, 12 lines, and each square violates at least one line."""
+    basics, lines, tables = [], [], {}
+    for block in "pq":
+        labels = [f"{block}{i}" for i in range(9)]
+        basics += [Measurement(label, (("+", 1), ("-", -1))) for label in labels]
+        for cells, sign in (
+            ((0, 1, 2), 1), ((3, 4, 5), 1), ((6, 7, 8), 1),
+            ((0, 3, 6), 1), ((1, 4, 7), 1), ((2, 5, 8), -1),
+        ):
+            line = [labels[c] for c in cells]
+            allowed = [t for t in product("+-", repeat=3) if (-1) ** t.count("-") == sign]
+            lines.append(line)
+            tables[frozenset(line)] = {"r": {t: Fraction(1, 4) for t in allowed}}
+    return OperationalTheory(basics, lines, ("r",), tables)
+
+
+def full_scan(theory):
+    """Independent oracle for the pruned search: every outcome assignment to
+    the basics in ``itertools.product`` order, with the number of maximal
+    joints whose induced tuple falls outside the support."""
+    labels = [m.label for m in theory.basics]
+    joints = theory.maximal_joints
+    supports = {joint: frozenset(support(theory, joint)) for joint in joints}
+    for combo in product(*(m.outcome_labels for m in theory.basics)):
+        assignment = dict(zip(labels, combo))
+        violated = sum(
+            tuple(assignment[label] for label in theory.component_order(joint))
+            not in supports[joint]
+            for joint in joints
+        )
+        yield combo, violated
+
+
+@st.composite
+def random_theories(draw):
+    """Up to 10 two-valued basics, random comeasurable sets, and maximal-joint
+    tables uniform over a random nonempty subset of outcome tuples."""
+    n = draw(st.integers(1, 10))
+    labels = [f"m{i}" for i in range(n)]
+    basics = [
+        Measurement(label, (("-", -1), ("+", 1)) if draw(st.booleans()) else (("+", 1), ("-", -1)))
+        for label in labels
+    ]
+    declared = draw(
+        st.lists(st.sets(st.sampled_from(labels), min_size=1, max_size=4), max_size=6)
+    )
+    candidates = {frozenset(s) for s in declared} | {frozenset({label}) for label in labels}
+    maximal = sorted(
+        (j for j in candidates if not any(j < other for other in candidates)),
+        key=lambda j: sorted(labels.index(label) for label in j),
+    )
+    tables = {}
+    for joint in maximal:
+        parts = [m.outcome_labels for m in basics if m.label in joint]
+        kept = draw(st.sets(st.sampled_from(list(product(*parts))), min_size=1))
+        tables[joint] = {"r": {t: Fraction(1, len(kept)) for t in kept}}
+    return OperationalTheory(basics, [sorted(s) for s in declared], ("r",), tables)
 
 
 class TestRecovers:
@@ -401,6 +472,29 @@ class TestMinViolationFraction:
 
     def test_sat_box_theory_has_zero(self, box_fixtures):
         assert min_violation_fraction(box_fixtures[0].theory) == 0
+
+    def test_two_disjoint_squares_give_one_sixth(self):
+        theory = two_squares_theory()
+        assert len(theory.basics) == 18 and len(theory.maximal_joints) == 12
+        assert min_violation_fraction(theory) == Fraction(1, 6)
+        assert search_ncvd(theory) is None
+
+    def test_theory_without_joints_raises(self):
+        with pytest.raises(ValueError, match="no maximal joints"):
+            min_violation_fraction(OperationalTheory((), (), ("r",), {}))
+
+
+class TestPrunedSearchAgainstFullScan:
+    @given(random_theories())
+    @settings(max_examples=50, deadline=None)
+    def test_search_matches_full_scan(self, theory):
+        scan = list(full_scan(theory))
+        best = min(violated for _, violated in scan)
+        assert min_violation_fraction(theory) == Fraction(best, len(theory.maximal_joints))
+        accepted = tuple(",".join(combo) for combo, violated in scan if violated == 0)
+        model = search_ncvd(theory)
+        assert (model.ontic_states if model is not None else ()) == accepted
+        assert (model is None) == (not accepted)
 
 
 class TestScreeningOffByRepresentation:
