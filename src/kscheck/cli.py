@@ -15,6 +15,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from . import catalog as catalog_mod
 from .errors import (
@@ -124,6 +125,15 @@ def _theory_for(scenario: Scenario, realization_name: str | None) -> tuple[Opera
     return theory, {"tables": "from_quantum", "realization": name}
 
 
+def _require_two_valued(theory: OperationalTheory):
+    """Exit 6 on a basic without exactly two outcomes; the searches need two."""
+    for m in theory.basics:
+        if len(m.outcomes) != 2:
+            raise BadArgumentError(
+                f"search needs two-valued basics; {m.label} has {len(m.outcomes)} outcomes"
+            )
+
+
 # -- commands -------------------------------------------------------------------
 
 
@@ -206,9 +216,14 @@ def cmd_classify(args) -> Report:
 def cmd_search_model(args) -> Report:
     scenario = load_scenario(args.scenario)
     theory, origin = _theory_for(scenario, args.realization)
+    _require_two_valued(theory)
     start = time.perf_counter()
     model = search_ncvd(theory, cap=args.cap)
-    fraction = min_violation_fraction(theory, cap=args.cap)
+    # a model violates no support, so only UNSAT needs the second search
+    if model is None:
+        fraction = min_violation_fraction(theory, cap=args.cap)
+    else:
+        fraction = Fraction(0)
     elapsed = time.perf_counter() - start
     n_basics = len(theory.basics)
     report = Report(
@@ -309,6 +324,7 @@ def cmd_ghz(args) -> Report:
 def cmd_robustness(args) -> Report:
     scenario = load_scenario(args.scenario)
     theory, origin = _theory_for(scenario, args.realization)
+    _require_two_valued(theory)
     start = time.perf_counter()
     fraction = min_violation_fraction(theory, cap=args.cap)
     elapsed = time.perf_counter() - start

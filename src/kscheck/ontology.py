@@ -106,12 +106,12 @@ class OntologicalModel:
                         f"missing response for {self.joint_name(joint)} at ontic state {lam}"
                     )
                 dist = self.responses[key]
-                unknown = set(dist) - valid
-                if unknown:
+                if not valid.issuperset(dist):
                     raise ValueError(
-                        f"response for {self.joint_name(joint)}: bad outcome tuples {sorted(unknown)}"
+                        f"response for {self.joint_name(joint)}: bad outcome tuples "
+                        f"{sorted(set(dist) - valid)}"
                     )
-                total = sum(float(v) for v in dist.values())
+                total = sum(map(float, dist.values()))
                 if abs(total - 1.0) > RESPONSE_TOL:
                     raise ValueError(
                         f"response for {self.joint_name(joint)} at {lam} sums to {total}"
@@ -133,15 +133,16 @@ class OntologicalModel:
         labels = [m.label for m in basics]
         family = _close_family(comeasurable, labels)
         order = {label: i for i, label in enumerate(labels)}
+        members_of = [(joint, sorted(joint, key=order.get)) for joint in family]
         ontic = [
             ",".join(assignment[label] for label in labels) for assignment in assignments
         ]
+        one = Fraction(1)
         responses = {}
         for assignment, lam in zip(assignments, ontic):
-            for joint in family:
-                members = sorted(joint, key=order.get)
-                induced = tuple(assignment[label] for label in members)
-                responses[(joint, lam)] = {induced: Fraction(1)}
+            for joint, members in members_of:
+                induced = tuple([assignment[label] for label in members])
+                responses[(joint, lam)] = {induced: one}
         n = len(ontic)
         prep_distributions = {
             prep: {lam: Fraction(1, n) for lam in ontic} for prep in preparations

@@ -16,7 +16,7 @@ from itertools import product
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .errors import InvalidGraphError, MarginalAmbiguityError
-from .quantum import DensityOperator, born_probability, joint_born_probability
+from .quantum import DensityOperator, joint_distribution
 
 if TYPE_CHECKING:
     from .graph import KSGraph
@@ -76,6 +76,21 @@ def _close_family(
     return frozenset(family)
 
 
+def _maximal_members(
+    declared: Iterable[Iterable[str]], basic_labels: Iterable[str]
+) -> set[Joint]:
+    """The maximal members of ``_close_family(declared, basic_labels)``.
+
+    Every member of the closure lies inside a declared set or is a basic
+    singleton, so the maximal ones are found among those alone.
+    """
+    candidates = {frozenset(raw) for raw in declared} | {
+        frozenset({label}) for label in basic_labels
+    }
+    candidates.discard(frozenset())
+    return {j for j in candidates if not any(j < other for other in candidates)}
+
+
 class OperationalTheory:
     """Conditional outcome probabilities over a comeasurability family."""
 
@@ -93,16 +108,14 @@ class OperationalTheory:
         self._order = {m.label: i for i, m in enumerate(self.basics)}
         self.preparations = tuple(preparations)
 
+        comeasurable = [tuple(raw) for raw in comeasurable]
         for raw in comeasurable:
             for label in raw:
                 if label not in self._by_label:
                     raise ValueError(f"comeasurable set names unknown measurement {label!r}")
         self.family = _close_family(comeasurable, self._by_label)
         self.maximal_joints = tuple(
-            sorted(
-                (j for j in self.family if not any(j < other for other in self.family)),
-                key=self._joint_key,
-            )
+            sorted(_maximal_members(comeasurable, self._by_label), key=self._joint_key)
         )
 
         self.tables: dict[Joint, dict[str, dict[tuple[str, ...], object]]] = {}
@@ -140,12 +153,12 @@ class OperationalTheory:
             for prep, dist in per_prep.items():
                 if prep not in self.preparations:
                     raise ValueError(f"table names unknown preparation {prep!r}")
-                unknown = set(dist) - valid
-                if unknown:
+                if not valid.issuperset(dist):
                     raise ValueError(
-                        f"table for {self.joint_name(joint)}: invalid outcome tuples {sorted(unknown)}"
+                        f"table for {self.joint_name(joint)}: invalid outcome tuples "
+                        f"{sorted(set(dist) - valid)}"
                     )
-                total = sum(float(v) for v in dist.values())
+                total = sum(map(float, dist.values()))
                 if abs(total - 1.0) > NORMALIZATION_TOL:
                     raise ValueError(
                         f"table for {self.joint_name(joint)} at {prep} sums to {total}, not 1"
@@ -366,27 +379,22 @@ def from_quantum(
                     )
 
     basics = [Measurement(label, _PAULI_OUTCOMES) for label in labels]
-    family = _close_family(realization.comeasurable, labels)
     order = {label: i for i, label in enumerate(labels)}
-    maximal = [j for j in family if not any(j < other for other in family)]
-    maximal.sort(key=lambda j: tuple(sorted(order[label] for label in j)))
+    maximal = sorted(
+        _maximal_members(realization.comeasurable, labels),
+        key=lambda j: tuple(sorted(order[label] for label in j)),
+    )
 
-    value_of = {OUTCOME_PLUS: 1, OUTCOME_MINUS: -1}
     tables: dict[Joint, dict[str, dict[tuple[str, ...], object]]] = {}
     for joint in maximal:
         members = sorted(joint, key=order.get)
         ops = tuple(operator_of[label] for label in members)
-        per_prep: dict[str, dict[tuple[str, ...], object]] = {}
-        for prep, rho in states.items():
-            dist = {}
-            for combo in product((OUTCOME_PLUS, OUTCOME_MINUS), repeat=len(members)):
-                values = tuple(value_of[c] for c in combo)
-                if len(ops) == 1:
-                    dist[combo] = born_probability(rho, ops[0], values[0])
-                else:
-                    dist[combo] = joint_born_probability(rho, ops, values)
-            per_prep[prep] = dist
-        tables[frozenset(joint)] = per_prep
+        # joint_distribution lists the ±1 tuples in this same product order
+        combos = list(product((OUTCOME_PLUS, OUTCOME_MINUS), repeat=len(members)))
+        tables[frozenset(joint)] = {
+            prep: dict(zip(combos, joint_distribution(rho, ops).values()))
+            for prep, rho in states.items()
+        }
 
     return OperationalTheory(
         basics=basics,

@@ -1,22 +1,27 @@
-"""Phase-tracked Pauli words with an exact dense-matrix oracle.
+"""Phase-tracked Pauli words, their symplectic form and a dense oracle.
 
 A Pauli word is a global phase in {+1, -1, +i, -i} together with a letter
 per qubit from {I, X, Y, Z}.  Products, commutation and signed-identity
-checks are done symbolically; ``to_matrix`` provides the exact Q[i]
-backend used to cross-validate the symbolic algebra and to build spectral
-projections.
+checks are done symbolically.  ``PauliString.symplectic`` gives the word
+as an x mask, a z mask and an i-power (Aaronson and Gottesman, PRA 70,
+052328, 2004): the word is a signed permutation matrix with one nonzero
+per column, P[c ^ x][c] = i**power * (-1)**popcount(c & z), which is what
+the Born-rule layer works from.  ``to_matrix`` and ``spectral_projection``
+build the exact dense Q[i] matrices; they cross-check the symbolic algebra
+and the Pauli expansion and are not on any verdict path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Iterable, Sequence
+from functools import cached_property, lru_cache
+from typing import Iterable, NamedTuple, Sequence
 
 from .exact import ComplexMatrix
 
-# Dense 2^n matrices back every oracle call; all shipped scenarios need <= 3.
+# Born tables sweep O(2^n) entries per Pauli product, and the dense 2^n x 2^n
+# oracle matrices stay affordable too; all shipped scenarios need <= 3.
 MAX_QUBITS = 8
 
 LETTERS = "IXYZ"
@@ -80,6 +85,36 @@ _PRODUCT_TABLE = {
 }
 
 
+class Symplectic(NamedTuple):
+    """A Pauli word as bitmasks: P[c ^ x][c] = i**power * (-1)**popcount(c & z).
+
+    The word is i**power * X^x Z^z, with bit n-1-k of each mask standing for
+    qubit k, so that matrix indices read in ``to_matrix``'s kron order.
+    ``*`` is the operator product, not tuple repetition.
+    """
+
+    x: int
+    z: int
+    power: int
+
+    def __mul__(self, other: "Symplectic") -> "Symplectic":
+        # Z^z X^x' = (-1)**popcount(z & x') X^x' Z^z
+        flips = (self.z & other.x).bit_count()
+        return Symplectic(
+            self.x ^ other.x, self.z ^ other.z, (self.power + other.power + 2 * flips) % 4
+        )
+
+    @property
+    def is_scalar(self) -> bool:
+        return not (self.x or self.z)
+
+
+SYMPLECTIC_IDENTITY = Symplectic(0, 0, 0)
+
+# letter -> (x bit, z bit, i-power); Y = iXZ
+_LETTER_BITS = {"I": (0, 0, 0), "X": (1, 0, 0), "Y": (1, 1, 1), "Z": (0, 1, 0)}
+
+
 @dataclass(frozen=True)
 class PauliString:
     """Phase-tracked tensor word over {I, X, Y, Z}."""
@@ -130,6 +165,18 @@ class PauliString:
     @property
     def is_identity_word(self) -> bool:
         return set(self.letters) == {"I"}
+
+    @cached_property
+    def symplectic(self) -> Symplectic:
+        """The word as x and z masks and an i-power; see ``Symplectic``."""
+        x = z = 0
+        power = self.phase.power
+        for letter in self.letters:
+            bx, bz, p = _LETTER_BITS[letter]
+            x = (x << 1) | bx
+            z = (z << 1) | bz
+            power += p
+        return Symplectic(x, z, power % 4)
 
     def __mul__(self, other: "PauliString") -> "PauliString":
         if not isinstance(other, PauliString):

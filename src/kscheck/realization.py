@@ -20,12 +20,7 @@ from typing import Iterable, Mapping, Sequence
 from .errors import BadArgumentError, CapExceededError
 from .graph import KSGraph
 from .operational import OUTCOME_MINUS, OUTCOME_PLUS, from_quantum, support
-from .quantum import (
-    DensityOperator,
-    born_probability,
-    is_operational_eigenstate,
-    joint_projection,
-)
+from .quantum import DensityOperator, born_probability, is_operational_eigenstate
 
 SWEEP_POOL_LIMIT = 12
 SWEEP_ASSOC_LIMIT = 2
@@ -531,8 +526,7 @@ def run_type2_argument(
     }
     eigenstate_verified = False
     if not flip_sign:
-        projection = joint_projection(graph.edge_operators(pinned_edge), pinned)
-        rho = DensityOperator.from_projection(projection)
+        rho = DensityOperator.from_eigenspace(graph.edge_operators(pinned_edge), pinned)
         if not is_operational_eigenstate(rho, graph.edge_operators(pinned_edge)):
             raise BadArgumentError("selected preparation is not an operational eigenstate")
         for op, value in zip(graph.edge_operators(pinned_edge), pinned):

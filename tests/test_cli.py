@@ -6,7 +6,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import kscheck
+from kscheck import cli
 from kscheck.cli import Report, main
 
 SINGLE_EDGE = {
@@ -17,6 +20,27 @@ SINGLE_EDGE = {
         {"label": "c", "operator": "ZZ"},
     ],
     "hyperedges": [[0, 1, 2]],
+}
+
+
+# a three-outcome basic: the ontology searches need two-valued ones
+THREE_OUTCOMES = {
+    "name": "three-outcomes",
+    "tables": {
+        "measurements": [
+            {"label": "a", "outcomes": [["0", 0], ["1", 1], ["2", 2]]},
+            {"label": "b", "outcomes": [["+", 1], ["-", -1]]},
+        ],
+        "comeasurable": [["a", "b"]],
+        "preparations": ["r"],
+        "entries": [
+            {
+                "measurements": ["a", "b"],
+                "preparation": "r",
+                "distribution": {"0,+": "1/2", "1,-": "1/4", "2,+": "1/4"},
+            }
+        ],
+    },
 }
 
 
@@ -150,6 +174,28 @@ class TestSearchModel:
         assert parsed["verdicts"]["satisfiable"] is True
         assert len(parsed["verdicts"]["model_states"]) == 4
         assert parsed["verdicts"]["min_violation_fraction"] == "0"
+
+
+    def test_sat_runs_one_search(self, capsys, monkeypatch):
+        def second_search(*args, **kwargs):
+            raise AssertionError("min_violation_fraction called after a model was found")
+
+        monkeypatch.setattr(cli, "min_violation_fraction", second_search)
+        code, out, _ = run(capsys, "search-model", "box-m1", "--json")
+        doc = json.loads(out)
+        assert code == 0
+        assert doc["verdicts"]["satisfiable"] is True
+        assert doc["verdicts"]["min_violation_fraction"] == "0"
+
+
+@pytest.mark.parametrize("verb", ["search-model", "robustness"])
+def test_three_outcome_basics_exit_six(capsys, tmp_path, verb):
+    path = tmp_path / "three.json"
+    path.write_text(json.dumps(THREE_OUTCOMES))
+    code, out, err = run(capsys, verb, str(path), "--json")
+    assert code == 6
+    assert out == ""
+    assert "two-valued" in err
 
 
 class TestGhz:

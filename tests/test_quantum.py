@@ -5,10 +5,14 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from kscheck import catalog
-from kscheck.exact import ComplexMatrix
-from kscheck.graph import admissible_tuples
+from kscheck.exact import ComplexMatrix, GaussianRational
+from kscheck.graph import KSGraph, admissible_tuples, build_graph
+from kscheck.ontology import min_violation_fraction
+from kscheck.operational import from_quantum
 from kscheck.pauli import PauliString, to_matrix
 from kscheck.quantum import (
     DensityOperator,
@@ -16,9 +20,11 @@ from kscheck.quantum import (
     common_eigenbasis,
     is_operational_eigenstate,
     joint_born_probability,
+    joint_distribution,
     joint_projection,
     support_table,
 )
+from kscheck.realization import Realization, run_type2_argument
 
 P = PauliString.parse
 
@@ -228,3 +234,144 @@ class TestOperationalEigenstate:
 
     def test_product_state_for_first_row(self, pm_graph, z00):
         assert is_operational_eigenstate(z00, pm_graph.edge_operators(0))
+
+
+# -- the Pauli expansion against the dense Q[i] oracle ----------------------------
+
+
+@st.composite
+def commuting_words(draw):
+    """1-4 mutually commuting hermitian non-identity words on 1-3 qubits.
+
+    Repeats and negated repeats are allowed; they give empty projections.
+    """
+    n = draw(st.integers(1, 3))
+    words = st.text("IXYZ", min_size=n, max_size=n).filter(lambda t: set(t) != {"I"})
+    ops = []
+    for _ in range(draw(st.integers(1, 4))):
+        op = P(draw(st.sampled_from("+-")) + draw(words))
+        if all(op.commutes(other) for other in ops):
+            ops.append(op)
+    return tuple(ops)
+
+
+@st.composite
+def exact_states(draw, n_qubits):
+    """A random mixture of 1-3 Gaussian-integer vectors, normalized."""
+    dim = 2**n_qubits
+    entry = st.builds(GaussianRational, st.integers(-2, 2), st.integers(-2, 2))
+    vectors = draw(st.lists(st.lists(entry, min_size=dim, max_size=dim), min_size=1, max_size=3))
+    rows = [
+        [sum((v[i] * v[j].conjugate() for v in vectors), GaussianRational(0)) for j in range(dim)]
+        for i in range(dim)
+    ]
+    trace = sum(rows[i][i].re for i in range(dim))
+    assume(trace > 0)
+    return DensityOperator.from_exact(ComplexMatrix(rows).scale(Fraction(1) / trace))
+
+
+class TestPauliExpansionOracle:
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_distribution_matches_dense_products(self, data):
+        ops = data.draw(commuting_words())
+        rho = data.draw(exact_states(ops[0].n_qubits))
+        floating = DensityOperator(rho.matrix.copy())
+        exact_dist = joint_distribution(rho, ops)
+        float_dist = joint_distribution(floating, ops)
+        assert list(exact_dist) == list(product((1, -1), repeat=len(ops)))
+        for combo, p in exact_dist.items():
+            projection = joint_projection(ops, combo)
+            expected = rho.exact.trace_product(projection)
+            assert expected.im == 0
+            assert isinstance(p, Fraction) and p == expected.re
+            dense = np.trace(floating.matrix @ projection.to_numpy()).real
+            assert isinstance(float_dist[combo], float)
+            assert abs(float_dist[combo] - dense) < 1e-12
+        combo = data.draw(st.sampled_from(list(exact_dist)))
+        assert joint_born_probability(rho, ops, combo) == exact_dist[combo]
+        assert born_probability(rho, ops[0], combo[0]) == sum(
+            p for c, p in exact_dist.items() if c[0] == combo[0]
+        )
+
+    @given(commuting_words())
+    @settings(max_examples=60, deadline=None)
+    def test_supports_and_projections_match_dense_products(self, ops):
+        graph = KSGraph(
+            vertices=tuple((f"v{k}", op) for k, op in enumerate(ops)),
+            hyperedges=(tuple(range(len(ops))),),
+            edge_signs=(1,),
+        )
+        allowed = support_table(graph).tuples_for(0)
+        for combo in product((1, -1), repeat=len(ops)):
+            projection = joint_projection(ops, combo)
+            assert (combo in allowed) == (not projection.is_zero())
+            if projection.is_zero():
+                with pytest.raises(ValueError):
+                    DensityOperator.from_eigenspace(ops, combo)
+                continue
+            pinned = DensityOperator.from_eigenspace(ops, combo)
+            assert pinned.exact.scale(projection.trace()) == projection
+            oracle = DensityOperator.from_projection(projection)
+            assert pinned.exact == oracle.exact
+            assert np.array_equal(pinned.matrix, oracle.matrix)
+            assert joint_distribution(pinned, ops) == joint_distribution(
+                DensityOperator.from_exact(oracle.exact), ops
+            )
+            assert is_operational_eigenstate(pinned, ops)
+
+    def test_maximally_mixed_matches_scaled_identity(self):
+        rho = DensityOperator.maximally_mixed(8)
+        assert rho.exact == ComplexMatrix.identity(8).scale(Fraction(1, 8))
+        assert np.array_equal(rho.matrix, rho.exact.to_numpy())
+
+    def test_checks_kept(self, z00):
+        with pytest.raises(ValueError):
+            joint_distribution(z00, (P("XI"), P("ZI")))
+        with pytest.raises(ValueError):
+            joint_distribution(z00, (P("II"),))
+        with pytest.raises(ValueError):
+            joint_distribution(z00, (P("iZI"),))
+        with pytest.raises(ValueError):
+            joint_distribution(z00, (P("Z"),))
+        with pytest.raises(ValueError):
+            born_probability(z00, P("ZI"), 0)
+        with pytest.raises(ValueError):
+            joint_born_probability(z00, (P("ZI"), P("IZ")), (1,))
+
+
+def _padded_pentagram(n_qubits: int, positions: tuple[int, int, int]):
+    vertices = []
+    for label, word in catalog.GHZ_VERTICES:
+        letters = ["I"] * n_qubits
+        for q, letter in zip(positions, word):
+            letters[q] = letter
+        vertices.append((label, "".join(letters)))
+    graph = build_graph(vertices, catalog.GHZ_EDGES)
+    singles = [{label} for label in graph.labels]
+    edges = [graph.edge_labels(e) for e in range(len(graph.hyperedges))]
+    full = Realization.build(singles, edges)
+    standard = Realization.build(singles, edges[: catalog.GHZ_HORIZONTAL])
+    return graph, full, standard
+
+
+class TestPaddedPentagramKnownAnswer:
+    def test_six_qubits_without_dense_products(self, monkeypatch):
+        def dense(*args):
+            raise AssertionError("dense Q[i] product on the verdict path")
+
+        for name in ("__matmul__", "kron", "trace_product"):
+            monkeypatch.setattr(ComplexMatrix, name, dense)
+        graph, full, standard = _padded_pentagram(6, (1, 3, 4))
+        states = {
+            "mixed": DensityOperator.maximally_mixed(64),
+            "ghz": DensityOperator.from_eigenspace(
+                graph.edge_operators(catalog.GHZ_HORIZONTAL), (1, 1, 1, -1)
+            ),
+        }
+        theory = from_quantum(graph, states, full)
+        assert min_violation_fraction(theory) == Fraction(1, 5)
+        result = run_type2_argument(graph, standard, (1, 1, 1, -1))
+        assert result.satisfiable is False
+        assert result.eigenstate_verified is True
+        assert result.pinned_edge == catalog.GHZ_HORIZONTAL
