@@ -4,8 +4,8 @@ The package splits the job the way the arguments themselves do:
 
 - ``pauli`` / ``exact``: phase-tracked operator algebra with an exact
   Q[i] matrix oracle;
-- ``graph``: hypergraphs of commuting observables and the FUNC-constrained
-  value-assignment search with parity certificates;
+- ``graph``: hypergraphs of commuting observables, the one depth-first
+  constraint search, and FUNC value assignments with parity certificates;
 - ``quantum``: Born-rule probabilities, support tables, common eigenbases;
 - ``operational``: measurements, comeasurability, probability tables,
   no-disturbance;

@@ -26,7 +26,7 @@ from .errors import (
     MissingBlockError,
     ScenarioParseError,
 )
-from .graph import DEFAULT_SEARCH_CAP, search_assignments
+from .graph import SEARCH_CAP, search_assignments
 from .ontology import min_violation_fraction, search_ncvd
 from .operational import OperationalTheory, from_quantum
 from .realization import classify_type, lemma_check, run_type2_argument
@@ -272,32 +272,18 @@ def cmd_ghz(args) -> Report:
     scenario = load_scenario(args.scenario)
     graph = _require_graph(scenario)
     name, realization = _pick_realization(scenario, args.realization)
-    kind = classify_type(graph, realization)
-    if kind.kind != "II":
-        raise BadArgumentError(
-            f"realization {name!r} is type {kind.kind}; the state-dependent "
-            "pipeline needs type II"
-        )
-    pinned_edge = kind.non_comeasurable_edges[0]
-    edge_size = len(graph.hyperedges[pinned_edge])
-    sign = graph.edge_signs[pinned_edge]
-    target = -sign if args.flip_sign else sign
-    if args.tuple is None:
-        values = [1] * edge_size
-        if target == -1:
-            values[-1] = -1
-        tuple_values = tuple(values)
-    else:
-        tuple_values = _parse_tuple(args.tuple)
+    tuple_values = None if args.tuple is None else _parse_tuple(args.tuple)
     start = time.perf_counter()
-    result = run_type2_argument(graph, realization, tuple_values, flip_sign=args.flip_sign)
+    result = run_type2_argument(
+        graph, realization, tuple_values, flip_sign=args.flip_sign, cap=args.cap
+    )
     elapsed = time.perf_counter() - start
     report = Report(
         command="ghz",
         inputs={
             **_scenario_inputs(scenario),
             "realization": name,
-            "tuple": list(tuple_values),
+            "tuple": list(result.pinned_tuple),
             "flip_sign": args.flip_sign,
         },
         verdicts={
@@ -314,7 +300,7 @@ def cmd_ghz(args) -> Report:
     outcome = "SAT (argument fails)" if result.satisfiable else "UNSAT (argument succeeds)"
     report.lines = [
         f"  pinned edge {{{','.join(graph.edge_labels(result.pinned_edge))}}} "
-        f"to {tuple_values}",
+        f"to {result.pinned_tuple}",
         f"  eigenstate verified: {result.eigenstate_verified}",
         f"  {outcome}",
     ]
@@ -395,14 +381,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--cap",
         type=int,
-        default=DEFAULT_SEARCH_CAP,
+        default=SEARCH_CAP,
         help="vertex/measurement cap for exhaustive searches",
-    )
-    common.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="reserved; no verdict depends on randomness",
     )
 
     parser = argparse.ArgumentParser(

@@ -3,21 +3,26 @@
 Vertices carry self-adjoint Pauli words; hyperedges are mutually commuting
 subsets whose ordered product is a signed identity.  A value assignment
 puts ±1 on every vertex; it is admissible when the values on every edge
-multiply to that edge's sign.  The search is plain depth-first enumeration
-with per-edge pruning, exhaustive over {+1, -1}^|V|.
+multiply to that edge's sign.  ``depth_first`` is the package's one
+assignment search, a depth-first table-constraint search with branch and
+bound: value assignments here, the type II pipeline in ``realization`` and
+the model and robustness searches in ``ontology`` all run on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Sequence
+from math import prod
+from operator import itemgetter
+from typing import Callable, Collection, Iterable, Sequence
 
 from . import pauli
 from .errors import CapExceededError, InvalidGraphError
 from .pauli import PauliString
 
-DEFAULT_SEARCH_CAP = 24
+# Most variables (vertices or basic measurements) an exhaustive search takes.
+SEARCH_CAP = 24
 
 # A total assignment of ±1 values, aligned with the graph's vertex order.
 ValueAssignment = tuple[int, ...]
@@ -198,54 +203,83 @@ def admissible_tuples(graph: KSGraph, edge_index: int) -> tuple[tuple[int, ...],
 
     Ordered lexicographically with +1 before -1; always 2^(k-1) of them.
     """
-    edge = graph.hyperedges[edge_index]
     sign = graph.edge_signs[edge_index]
-    out = []
-    for combo in product((1, -1), repeat=len(edge)):
-        value = 1
-        for x in combo:
-            value *= x
-        if value == sign:
-            out.append(combo)
-    return tuple(out)
+    combos = product((1, -1), repeat=len(graph.hyperedges[edge_index]))
+    return tuple(combo for combo in combos if prod(combo) == sign)
 
 
-def search_assignments(graph: KSGraph, cap: int = DEFAULT_SEARCH_CAP) -> TheoremVerdict:
+def depth_first(
+    domains: Sequence[Sequence],
+    constraints: Iterable[tuple[Sequence[int], Collection[tuple]]],
+    bound: int,
+    leaf: Callable[[tuple, int], int],
+) -> int:
+    """Depth-first search over assignments of ``domains[d]`` to variable d.
+
+    Variables get values in index order, each trying its domain in order,
+    so leaves come in ``itertools.product`` order.  A constraint
+    ``(positions, allowed)`` is violated when the values at ``positions``,
+    read in that order, form a tuple outside ``allowed``; it is checked when
+    its highest position gets a value.  A branch is cut as soon as its number
+    of violated constraints reaches ``bound`` (at least 1 to start with).
+    ``leaf(values, violated)`` is called for every leaf that is not cut and
+    returns the new bound; the search stops once the bound is 0.  Returns
+    the final bound.
+    """
+    n = len(domains)
+    # due[d]: (scope reader, allowed tuples) of the constraints completed at d
+    due: list[list] = [[] for _ in range(n)]
+    for positions, allowed in constraints:
+        if len(positions) == 1:
+            # itemgetter of one position reads a bare value, not a 1-tuple
+            allowed = {t[0] for t in allowed}
+        due[max(positions)].append((itemgetter(*positions), allowed))
+    values: list = [None] * n
+
+    def descend(depth: int, violated: int) -> None:
+        nonlocal bound
+        if depth == n:
+            bound = leaf(tuple(values), violated)
+            return
+        checks = due[depth]
+        for value in domains[depth]:
+            values[depth] = value
+            count = violated
+            for read, allowed in checks:
+                if read(values) not in allowed:
+                    count += 1
+                    if count >= bound:
+                        break
+            else:
+                descend(depth + 1, count)
+                # no sibling can do better once the bound is down to this count
+                if bound <= violated:
+                    return
+
+    descend(0, 0)
+    return bound
+
+
+def search_assignments(graph: KSGraph, cap: int = SEARCH_CAP) -> TheoremVerdict:
     """Exhaust {+1, -1}^|V| and collect every FUNC-respecting assignment.
 
-    Depth-first with per-edge pruning as soon as an edge is fully
+    Each edge is checked against its admissible tuples once it is fully
     assigned; witnesses come out in lexicographic order (+1 before -1).
     """
     n = graph.n_vertices
     if n > cap:
         raise CapExceededError(f"{n} vertices exceeds the search cap of {cap}")
-
-    completes_at: list[list[int]] = [[] for _ in range(n)]
-    for e_idx, edge in enumerate(graph.hyperedges):
-        completes_at[max(edge)].append(e_idx)
-
-    values = [0] * n
+    constraints = [
+        (edge, frozenset(admissible_tuples(graph, e_idx)))
+        for e_idx, edge in enumerate(graph.hyperedges)
+    ]
     witnesses: list[ValueAssignment] = []
 
-    def extend(v: int):
-        if v == n:
-            witnesses.append(tuple(values))
-            return
-        for val in (1, -1):
-            values[v] = val
-            ok = True
-            for e_idx in completes_at[v]:
-                prod = 1
-                for u in graph.hyperedges[e_idx]:
-                    prod *= values[u]
-                if prod != graph.edge_signs[e_idx]:
-                    ok = False
-                    break
-            if ok:
-                extend(v + 1)
-        values[v] = 0
+    def keep(values: ValueAssignment, violated: int) -> int:
+        witnesses.append(values)
+        return 1
 
-    extend(0)
+    depth_first([(1, -1)] * n, constraints, 1, keep)
     return TheoremVerdict(
         satisfiable=bool(witnesses),
         witnesses=tuple(witnesses),

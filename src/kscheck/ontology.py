@@ -8,11 +8,11 @@ and responses carry no preparation argument (lambda-sufficiency).
 
 The existence search ranges over deterministic outcome assignments to the
 basic measurements only; noncontextual value-definite responses factorize,
-so nothing more general can exist.  It is a depth-first search that checks
-each maximal joint's support as soon as all its members have values and
-cuts every branch that can no longer succeed: at the first violated joint
-when looking for a model, and once the violations reach the best count
-found so far when minimizing them (branch and bound).
+so nothing more general can exist.  It runs on ``graph.depth_first``,
+which checks each maximal joint's support as soon as all its members have
+values and cuts every branch that can no longer succeed: at the first
+violated joint when looking for a model, and once the violations reach the
+best count found so far when minimizing them (branch and bound).
 """
 
 from __future__ import annotations
@@ -23,13 +23,12 @@ from itertools import product
 from typing import Iterable, Mapping, Sequence
 
 from .errors import CapExceededError
+from .graph import SEARCH_CAP, depth_first
 from .operational import Joint, Measurement, OperationalTheory, support
 
 RECOVERY_TOL = 1e-10
 RESPONSE_TOL = 1e-12
 STATS_TOL = 1e-10
-
-SEARCH_CAP = 24
 
 
 class OntologicalModel:
@@ -350,17 +349,9 @@ def classify_model(model: OntologicalModel, theory: OperationalTheory) -> ModelV
 # -- existence search --------------------------------------------------------
 
 
-def _depth_first(theory: OperationalTheory, cap: int, bound: int, leaf) -> int:
-    """Depth-first search over outcome assignments to the basics.
-
-    Basics get values in declaration order, each trying its outcome labels
-    in order, so leaves come in ``itertools.product`` order.  A maximal
-    joint is checked against its support when its last member (in
-    declaration order) gets a value, and a branch is cut as soon as its
-    number of violated joints reaches ``bound``.  ``leaf(values, violated)``
-    is called for every leaf that is not cut and returns the new bound; the
-    search stops once the bound is 0.  Returns the final bound.
-    """
+def _support_search(theory: OperationalTheory, cap: int):
+    """``depth_first`` domains and constraints: the basics' outcome labels in
+    declaration order, and each maximal joint's support on its members."""
     for m in theory.basics:
         if len(m.outcomes) != 2:
             raise ValueError(f"search needs two-valued basics; {m.label} has {len(m.outcomes)}")
@@ -368,35 +359,15 @@ def _depth_first(theory: OperationalTheory, cap: int, bound: int, leaf) -> int:
         raise CapExceededError(
             f"{len(theory.basics)} basic measurements exceeds the cap of {cap}"
         )
-    options = [m.outcome_labels for m in theory.basics]
     index = {m.label: i for i, m in enumerate(theory.basics)}
-    # due[d]: (member positions, support) of the joints whose last member is basic d
-    due = [[] for _ in options]
-    for joint in theory.maximal_joints:
-        positions = tuple(index[label] for label in theory.component_order(joint))
-        due[positions[-1]].append((positions, frozenset(support(theory, joint))))
-    values = [None] * len(options)
-
-    def descend(depth: int, violated: int) -> None:
-        nonlocal bound
-        if depth == len(options):
-            bound = leaf(tuple(values), violated)
-            return
-        for label in options[depth]:
-            values[depth] = label
-            count = violated
-            for positions, allowed in due[depth]:
-                if tuple([values[p] for p in positions]) not in allowed:
-                    count += 1
-                    if count >= bound:
-                        break
-            if count < bound:
-                descend(depth + 1, count)
-                if bound == 0:
-                    return
-
-    descend(0, 0)
-    return bound
+    constraints = [
+        (
+            tuple(index[label] for label in theory.component_order(joint)),
+            frozenset(support(theory, joint)),
+        )
+        for joint in theory.maximal_joints
+    ]
+    return [m.outcome_labels for m in theory.basics], constraints
 
 
 def search_ncvd(
@@ -419,7 +390,7 @@ def search_ncvd(
         accepted.append(dict(zip(labels, values)))
         return 1
 
-    _depth_first(theory, cap, 1, keep)
+    depth_first(*_support_search(theory, cap), 1, keep)
     if not accepted:
         return None
     comeasurable = [tuple(j) for j in theory.family]
@@ -439,7 +410,9 @@ def min_violation_fraction(theory: OperationalTheory, cap: int = SEARCH_CAP) -> 
     the search returns as soon as an assignment violates nothing.
     """
     n_joints = len(theory.maximal_joints)
-    best = _depth_first(theory, cap, n_joints + 1, lambda values, violated: violated)
+    best = depth_first(
+        *_support_search(theory, cap), n_joints + 1, lambda values, violated: violated
+    )
     if not n_joints:
         raise ValueError("theory has no maximal joints to violate")
     return Fraction(best, n_joints)

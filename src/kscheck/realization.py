@@ -15,11 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations, product
+from math import prod
 from typing import Iterable, Mapping, Sequence
 
 from .errors import BadArgumentError, CapExceededError
-from .graph import KSGraph
-from .operational import OUTCOME_MINUS, OUTCOME_PLUS, from_quantum, support
+from .graph import SEARCH_CAP, KSGraph, depth_first
+from .operational import OUTCOME_MINUS, OUTCOME_PLUS, _close_family, from_quantum, support
 from .quantum import DensityOperator, born_probability, is_operational_eigenstate
 
 SWEEP_POOL_LIMIT = 12
@@ -50,22 +51,8 @@ class Realization:
         normalized = tuple(frozenset(a) for a in assoc)
         if any(not a for a in normalized):
             raise ValueError("every vertex needs at least one measurement")
-        labels = set().union(*normalized)
-        family: set[frozenset[str]] = {frozenset({label}) for label in labels}
-        for raw in comeasurable:
-            members = frozenset(raw)
-            if not members:
-                continue
-            stack = [members]
-            while stack:
-                current = stack.pop()
-                if current in family:
-                    continue
-                family.add(current)
-                if len(current) > 1:
-                    for item in current:
-                        stack.append(current - {item})
-        return cls(normalized, frozenset(family), dict(function_tags or {}))
+        family = _close_family(comeasurable, set().union(*normalized))
+        return cls(normalized, family, dict(function_tags or {}))
 
     @property
     def measurement_labels(self) -> tuple[str, ...]:
@@ -484,8 +471,9 @@ class Type2Result:
 def run_type2_argument(
     graph: KSGraph,
     realization: Realization,
-    eigenstate_tuple: Sequence[int],
+    eigenstate_tuple: Sequence[int] | None = None,
     flip_sign: bool = False,
+    cap: int = SEARCH_CAP,
 ) -> Type2Result:
     """Run the state-dependent no-go pipeline on a type II realization.
 
@@ -496,10 +484,15 @@ def run_type2_argument(
     outcomes pinned and every comeasurable edge constrained to its support.
     UNSAT means the argument succeeds.
 
-    ``flip_sign`` is a sanity control: it treats the pinned edge's sign as
-    inverted (no eigenstate exists for that, so step 1 is skipped) and must
-    make the search satisfiable.
+    ``eigenstate_tuple`` defaults to all +1, with the last value -1 when
+    the target sign is -1.  ``flip_sign`` is a sanity control: it treats
+    the pinned edge's sign as inverted (no eigenstate exists for that, so
+    step 1 is skipped) and must make the search satisfiable.
     """
+    if graph.n_vertices > cap:
+        raise CapExceededError(
+            f"{graph.n_vertices} vertices exceeds the search cap of {cap}"
+        )
     kind = classify_type(graph, realization)
     if kind.kind != "II":
         raise BadArgumentError(
@@ -508,17 +501,16 @@ def run_type2_argument(
         )
     pinned_edge = kind.non_comeasurable_edges[0]
     edge = graph.hyperedges[pinned_edge]
+    sign = graph.edge_signs[pinned_edge]
+    target = -sign if flip_sign else sign
+    if eigenstate_tuple is None:
+        eigenstate_tuple = (1,) * (len(edge) - 1) + (target,)
     pinned = tuple(int(v) for v in eigenstate_tuple)
     if len(pinned) != len(edge) or any(v not in (1, -1) for v in pinned):
         raise BadArgumentError(f"need a ±1 tuple of length {len(edge)}")
-    sign = graph.edge_signs[pinned_edge]
-    target = -sign if flip_sign else sign
-    prod = 1
-    for v in pinned:
-        prod *= v
-    if prod != target:
+    if prod(pinned) != target:
         raise BadArgumentError(
-            f"tuple {pinned} has product {prod}, not admissible for sign {target}"
+            f"tuple {pinned} has product {prod(pinned)}, not admissible for sign {target}"
         )
 
     states: dict[str, DensityOperator] = {
@@ -536,70 +528,31 @@ def run_type2_argument(
         states["pinned"] = rho
 
     theory = from_quantum(graph, states, realization)
-    label_of = [next(iter(realization.assoc[v])) for v in range(graph.n_vertices)]
+    label_of = [next(iter(a)) for a in realization.assoc]
+    vertex_of = {label: v for v, label in enumerate(label_of)}
     value_of = {OUTCOME_PLUS: 1, OUTCOME_MINUS: -1}
-
-    constraints: list[tuple[tuple[int, ...], frozenset[tuple[int, ...]]]] = []
+    constraints = []
     for e_idx, members in enumerate(graph.hyperedges):
-        if e_idx == pinned_edge:
-            continue
-        joint = frozenset(label_of[v] for v in members)
-        allowed = support(theory, joint)
-        order = theory.component_order(joint)
-        vertex_order = tuple(sorted(members, key=lambda v: order.index(label_of[v])))
-        allowed_values = frozenset(
-            tuple(value_of[o] for o in combo) for combo in allowed
-        )
-        constraints.append((vertex_order, allowed_values))
+        if e_idx != pinned_edge:
+            joint = frozenset(label_of[v] for v in members)
+            positions = [vertex_of[label] for label in theory.component_order(joint)]
+            allowed = {tuple(value_of[o] for o in t) for t in support(theory, joint)}
+            constraints.append((positions, allowed))
 
-    values: dict[int, int] = {v: value for v, value in zip(edge, pinned)}
-    free = [v for v in range(graph.n_vertices) if v not in values]
-
-    completes_at: dict[int, list[int]] = {v: [] for v in free}
-    immediate: list[int] = []
-    for c_idx, (vertex_order, _) in enumerate(constraints):
-        pending = [v for v in vertex_order if v in completes_at]
-        if pending:
-            completes_at[max(pending)].append(c_idx)
-        else:
-            immediate.append(c_idx)
-
-    for c_idx in immediate:
-        vertex_order, allowed = constraints[c_idx]
-        if tuple(values[v] for v in vertex_order) not in allowed:
-            return Type2Result(
-                satisfiable=False,
-                pinned_edge=pinned_edge,
-                pinned_tuple=pinned,
-                eigenstate_verified=eigenstate_verified,
-                witness=None,
-                sign_flipped=flip_sign,
-            )
-
+    # each pinned vertex tries only its eigenvalue
+    domains = [(1, -1)] * graph.n_vertices
+    for v, value in zip(edge, pinned):
+        domains[v] = (value,)
     witness: tuple[int, ...] | None = None
 
-    def extend(position: int) -> bool:
+    def stop(values: tuple[int, ...], violated: int) -> int:
         nonlocal witness
-        if position == len(free):
-            witness = tuple(values[v] for v in range(graph.n_vertices))
-            return True
-        v = free[position]
-        for val in (1, -1):
-            values[v] = val
-            ok = True
-            for c_idx in completes_at[v]:
-                vertex_order, allowed = constraints[c_idx]
-                if tuple(values[u] for u in vertex_order) not in allowed:
-                    ok = False
-                    break
-            if ok and extend(position + 1):
-                return True
-        del values[v]
-        return False
+        witness = values
+        return 0
 
-    satisfiable = extend(0)
+    depth_first(domains, constraints, 1, stop)
     return Type2Result(
-        satisfiable=satisfiable,
+        satisfiable=witness is not None,
         pinned_edge=pinned_edge,
         pinned_tuple=pinned,
         eigenstate_verified=eigenstate_verified,

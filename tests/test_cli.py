@@ -222,6 +222,11 @@ class TestGhz:
         )
         assert code == 6
 
+    def test_cap_exit_five(self, capsys):
+        code, out, _ = run(capsys, "ghz", "ghz", "--cap", "5")
+        assert code == 5
+        assert out == ""
+
 
 class TestRobustness:
     def test_square(self, capsys):
@@ -335,10 +340,7 @@ class TestExitCodesAndDeterminism:
         report = Report.from_dict(doc)
         assert json.loads(report.to_json()) == doc
 
-    def test_seed_flag_accepted_and_inert(self, capsys):
-        _, out1, _ = run(capsys, "verify", "peres-mermin", "--json", "--seed", "7")
-        _, out2, _ = run(capsys, "verify", "peres-mermin", "--json", "--seed", "99")
-        doc1, doc2 = json.loads(out1), json.loads(out2)
-        doc1.pop("timing_s")
-        doc2.pop("timing_s")
-        assert doc1 == doc2
+    def test_seed_flag_rejected(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "peres-mermin", "--seed", "7"])
+        assert exc.value.code == 2

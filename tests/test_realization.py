@@ -1,10 +1,14 @@
 """Realizations: uniqueness, argument types, the lemma, collapse, type II."""
 
+from itertools import product
+
 import pytest
 
 from kscheck import catalog
 from kscheck.errors import BadArgumentError
 from kscheck.graph import admissible_tuples, build_graph
+from kscheck.operational import OUTCOME_MINUS, OUTCOME_PLUS, from_quantum, support
+from kscheck.quantum import DensityOperator, joint_projection
 from kscheck.realization import (
     Realization,
     classify_type,
@@ -220,7 +224,61 @@ class TestCollapseEdge:
             assert lemma_check(pm_graph, refreshed).holds
 
 
+def type2_full_scan(graph, realization, pinned_edge, pinned, flip_sign=False):
+    """Oracle for the type II search: every ±1 assignment to the free
+    vertices in product order (+1 before -1), the pinned edge's vertices
+    fixed, each other edge checked against its support in the theory of
+    the maximally mixed state and, unless ``flip_sign``, the eigenstate
+    built from the dense joint projection.  Returns the first assignment
+    that fits every support, or None."""
+    edge = graph.hyperedges[pinned_edge]
+    states = {"mixed": DensityOperator.maximally_mixed(2 ** graph.operators[0].n_qubits)}
+    if not flip_sign:
+        projection = joint_projection(graph.edge_operators(pinned_edge), tuple(pinned))
+        states["pinned"] = DensityOperator.from_projection(projection)
+    theory = from_quantum(graph, states, realization)
+    label_of = [next(iter(a)) for a in realization.assoc]
+    vertex_of = {label: v for v, label in enumerate(label_of)}
+    value_of = {OUTCOME_PLUS: 1, OUTCOME_MINUS: -1}
+    checks = []
+    for e, members in enumerate(graph.hyperedges):
+        if e == pinned_edge:
+            continue
+        joint = frozenset(label_of[v] for v in members)
+        scope = [vertex_of[label] for label in theory.component_order(joint)]
+        allowed = {tuple(value_of[o] for o in t) for t in support(theory, joint)}
+        checks.append((scope, allowed))
+    free = [v for v in range(graph.n_vertices) if v not in edge]
+    values = [0] * graph.n_vertices
+    for v, value in zip(edge, pinned):
+        values[v] = value
+    for choice in product((1, -1), repeat=len(free)):
+        for v, value in zip(free, choice):
+            values[v] = value
+        if all(tuple(values[v] for v in scope) in allowed for scope, allowed in checks):
+            return tuple(values)
+    return None
+
+
 class TestTypeTwoPipeline:
+    @pytest.mark.parametrize("flip_sign", [False, True])
+    def test_matches_full_scan(self, ghz_graph, flip_sign):
+        realization = catalog.ghz_standard_realization()
+        edge = catalog.GHZ_HORIZONTAL
+        target = -ghz_graph.edge_signs[edge] if flip_sign else ghz_graph.edge_signs[edge]
+        combos = [
+            combo
+            for combo in product((1, -1), repeat=len(ghz_graph.hyperedges[edge]))
+            if combo[0] * combo[1] * combo[2] * combo[3] == target
+        ]
+        assert len(combos) == 8
+        for combo in combos:
+            result = run_type2_argument(ghz_graph, realization, combo, flip_sign=flip_sign)
+            expected = type2_full_scan(ghz_graph, realization, edge, combo, flip_sign)
+            assert result.pinned_edge == edge
+            assert result.satisfiable == (expected is not None), combo
+            assert result.witness == expected, combo
+
     def test_all_admissible_tuples_unsat(self, ghz_graph):
         realization = catalog.ghz_standard_realization()
         for combo in admissible_tuples(ghz_graph, catalog.GHZ_HORIZONTAL):
@@ -251,6 +309,14 @@ class TestTypeTwoPipeline:
                 for v in edge:
                     value *= witness[v]
                 assert value == ghz_graph.edge_signs[e]
+
+    def test_default_tuple(self, ghz_graph):
+        realization = catalog.ghz_standard_realization()
+        assert ghz_graph.edge_signs[catalog.GHZ_HORIZONTAL] == -1
+        result = run_type2_argument(ghz_graph, realization)
+        assert result.pinned_tuple == (1, 1, 1, -1)
+        flipped = run_type2_argument(ghz_graph, realization, flip_sign=True)
+        assert flipped.pinned_tuple == (1, 1, 1, 1)
 
     def test_inadmissible_tuple_rejected(self, ghz_graph):
         with pytest.raises(BadArgumentError):
