@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable
 
 from .exact import ComplexMatrix
 from .graph import KSGraph, build_graph
@@ -392,19 +391,3 @@ CATALOG: dict[str, CatalogEntry] = {
 def builtin_names() -> tuple[str, ...]:
     return tuple(CATALOG)
 
-
-def pm_realization_by_name(name: str) -> Realization:
-    table: dict[str, Callable[[], Realization]] = {
-        "full": pm_full_realization,
-        "spin": pm_spin_realization,
-        "hyperedge": pm_hyperedge_realization,
-    }
-    return table[name]()
-
-
-def ghz_realization_by_name(name: str) -> Realization:
-    table: dict[str, Callable[[], Realization]] = {
-        "full": ghz_full_realization,
-        "standard": ghz_standard_realization,
-    }
-    return table[name]()

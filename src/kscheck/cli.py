@@ -125,15 +125,6 @@ def _theory_for(scenario: Scenario, realization_name: str | None) -> tuple[Opera
     return theory, {"tables": "from_quantum", "realization": name}
 
 
-def _require_two_valued(theory: OperationalTheory):
-    """Exit 6 on a basic without exactly two outcomes; the searches need two."""
-    for m in theory.basics:
-        if len(m.outcomes) != 2:
-            raise BadArgumentError(
-                f"search needs two-valued basics; {m.label} has {len(m.outcomes)} outcomes"
-            )
-
-
 # -- commands -------------------------------------------------------------------
 
 
@@ -216,7 +207,6 @@ def cmd_classify(args) -> Report:
 def cmd_search_model(args) -> Report:
     scenario = load_scenario(args.scenario)
     theory, origin = _theory_for(scenario, args.realization)
-    _require_two_valued(theory)
     start = time.perf_counter()
     model = search_ncvd(theory, cap=args.cap)
     # a model violates no support, so only UNSAT needs the second search
@@ -310,7 +300,6 @@ def cmd_ghz(args) -> Report:
 def cmd_robustness(args) -> Report:
     scenario = load_scenario(args.scenario)
     theory, origin = _theory_for(scenario, args.realization)
-    _require_two_valued(theory)
     start = time.perf_counter()
     fraction = min_violation_fraction(theory, cap=args.cap)
     elapsed = time.perf_counter() - start

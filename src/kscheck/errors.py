@@ -41,6 +41,11 @@ class BadArgumentError(KSCheckError):
     (wrong argument type, inadmissible outcome tuple, unknown name)."""
 
 
+class NotTwoValuedError(BadArgumentError, ValueError):
+    """A search over outcome assignments met a measurement without exactly
+    two outcomes.  Also a ValueError, which library callers catch."""
+
+
 class MarginalAmbiguityError(KSCheckError):
     """A sub-measurement is contained in several maximal joints whose
     marginals disagree; the theory is being queried as if non-disturbing."""

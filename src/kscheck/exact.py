@@ -1,17 +1,20 @@
 """Exact arithmetic over the Gaussian rationals Q[i].
 
 Every verdict-critical quantity in this package (edge signs, support
-membership, parity certificates) lives in Q[i].  Entries are kept as pairs
-of ``fractions.Fraction`` so that equality against zero or a signed
-identity is decidable with no tolerance.  Floating point appears only in
-the quantum-state layer, never here.
+membership, parity certificates, exact states) lives in Q[i].  Entries are
+kept as pairs of ``fractions.Fraction`` so that equality against zero or a
+signed identity is decidable with no tolerance.  Floating point appears
+only in the quantum-state layer, never here; ``ComplexMatrix.to_numpy`` is
+the one bridge to it and the only place this module loads numpy.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 _EXACT_SCALARS = (int, Fraction)
 
@@ -237,6 +240,8 @@ class ComplexMatrix:
         return s
 
     def to_numpy(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([[complex(v) for v in row] for row in self.rows], dtype=complex)
 
     def __repr__(self):

@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterable, Mapping, Sequence
 
-from .errors import CapExceededError
+from .errors import CapExceededError, NotTwoValuedError
 from .graph import SEARCH_CAP, depth_first
 from .operational import Joint, Measurement, OperationalTheory, support
 
@@ -354,7 +354,9 @@ def _support_search(theory: OperationalTheory, cap: int):
     declaration order, and each maximal joint's support on its members."""
     for m in theory.basics:
         if len(m.outcomes) != 2:
-            raise ValueError(f"search needs two-valued basics; {m.label} has {len(m.outcomes)}")
+            raise NotTwoValuedError(
+                f"search needs two-valued basics; {m.label} has {len(m.outcomes)} outcomes"
+            )
     if len(theory.basics) > cap:
         raise CapExceededError(
             f"{len(theory.basics)} basic measurements exceeds the cap of {cap}"

@@ -13,7 +13,14 @@ such traces.  Support membership is a theorem-grade verdict and is decided
 without any state: Pi is a projection, so it is zero iff its trace
 2^(n-m) * sum over the S with P_S = ±I of s_S * (±1) is zero.  States may
 carry floating entries; whenever a state is exact (as all built-in
-preparations are), probabilities come out as exact Fractions.
+preparations are), probabilities come out as exact Fractions and the
+eigenstate check compares them with 0 and 1 exactly.
+
+An exact state is validated exactly, on its integer numerators over the
+least common denominator: hermiticity cell by cell, the trace as a sum,
+and positivity by a fraction-free LDL* elimination over the nonzero
+entries.  numpy is imported only for float states, ``common_eigenbasis``
+and ``DensityOperator.matrix``, so the exact verdict path never loads it.
 
 The dense Q[i] products (``joint_projection`` from ``spectral_projection``)
 stay as the independent oracle the tests check all of this against.
@@ -26,13 +33,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from . import graph as ks_graph
 from .exact import ZERO, ComplexMatrix, GaussianRational
 from .pauli import SYMPLECTIC_IDENTITY, PauliString, Symplectic, spectral_projection
+
+if TYPE_CHECKING:
+    import numpy as np
 
 HERMITICITY_TOL = 1e-10
 PSD_TOL = 1e-10
@@ -40,11 +48,21 @@ EIGENSTATE_TOL = 1e-10
 
 
 class DensityOperator:
-    """A quantum state; keeps an exact matrix alongside floats when known."""
+    """A quantum state: exact over Q[i], or floating point.
 
-    __slots__ = ("matrix", "exact", "_by_shift")
+    Exact states (``from_exact``, ``from_projection``, ``from_eigenspace``,
+    ``maximally_mixed``) are validated exactly and keep their integer
+    numerators for the Born sweeps; ``matrix``, their floating-point copy,
+    is built (and numpy imported) on first access.  Float states
+    (``DensityOperator(matrix)``, ``from_state_vector``) are checked within
+    the tolerances below.
+    """
 
-    def __init__(self, matrix: np.ndarray, exact: ComplexMatrix | None = None):
+    __slots__ = ("exact", "dim", "_matrix", "_by_shift")
+
+    def __init__(self, matrix: np.ndarray):
+        import numpy as np
+
         matrix = np.asarray(matrix, dtype=complex)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError("density operator must be a square matrix")
@@ -57,20 +75,35 @@ class DensityOperator:
             raise ValueError(
                 f"density operator not positive semidefinite (min eigenvalue {eigenvalues.min():.3g})"
             )
-        self.matrix = matrix
-        self.exact = exact
+        self._matrix = matrix
+        self.exact = None
+        self.dim = matrix.shape[0]
         self._by_shift = None
 
     @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
+    def matrix(self) -> np.ndarray:
+        """The state as a complex numpy array."""
+        if self._matrix is None:
+            self._matrix = self.exact.to_numpy()
+        return self._matrix
 
     @classmethod
     def from_exact(cls, exact: ComplexMatrix) -> "DensityOperator":
-        return cls(exact.to_numpy(), exact=exact)
+        cells = [
+            (r * exact.dim + c, v)
+            for r, row in enumerate(exact.rows)
+            for c, v in enumerate(row)
+            if v
+        ]
+        denominator = math.lcm(*(f.denominator for _, v in cells for f in (v.re, v.im)))
+        re = {key: v.re.numerator * (denominator // v.re.denominator) for key, v in cells if v.re}
+        im = {key: v.im.numerator * (denominator // v.im.denominator) for key, v in cells if v.im}
+        return cls._from_numerators(re, im, exact.dim, denominator, exact)
 
     @classmethod
     def from_state_vector(cls, amplitudes: Sequence[complex]) -> "DensityOperator":
+        import numpy as np
+
         vec = np.asarray(amplitudes, dtype=complex)
         norm = np.linalg.norm(vec)
         if norm < 1e-12:
@@ -107,23 +140,32 @@ class DensityOperator:
 
     @classmethod
     def _from_numerators(
-        cls, re: dict[int, int], im: dict[int, int], dim: int, denominator: int
+        cls,
+        re: dict[int, int],
+        im: dict[int, int],
+        dim: int,
+        denominator: int,
+        exact: ComplexMatrix | None = None,
     ) -> "DensityOperator":
         """The exact state with entries (re + i im) / denominator, keyed r * dim + c.
 
-        Fills the float matrix and the sweep table straight from the
-        integers; ``from_exact`` would get the same values entry by entry.
+        Every exact state is made here: the integers are validated exactly
+        and grouped into the sweep table, and ``exact`` is built from them
+        unless the caller already has it.
         """
-        rows = [[ZERO] * dim for _ in range(dim)]
-        matrix = np.zeros((dim, dim), dtype=complex)
+        _check_exact_state(re, im, dim, denominator)
+        rows = [[ZERO] * dim for _ in range(dim)] if exact is None else None
         by_shift: dict[int, list[tuple]] = {}
         for key in sorted(re.keys() | im.keys()):
             r, c = divmod(key, dim)
             a, b = re.get(key, 0), im.get(key, 0)
-            rows[r][c] = GaussianRational(Fraction(a, denominator), Fraction(b, denominator))
-            matrix[r, c] = complex(a / denominator, b / denominator)
             by_shift.setdefault(r ^ c, []).append((r, a, b))
-        rho = cls(matrix, exact=ComplexMatrix(rows))
+            if rows is not None:
+                rows[r][c] = GaussianRational(Fraction(a, denominator), Fraction(b, denominator))
+        rho = cls.__new__(cls)
+        rho.exact = exact if rows is None else ComplexMatrix(rows)
+        rho.dim = dim
+        rho._matrix = None
         rho._by_shift = (by_shift, denominator)
         return rho
 
@@ -133,37 +175,81 @@ class DensityOperator:
         Tr(rho P) = sum_c rho[c][c ^ x] * P[c ^ x][c] for a word with x mask x.
 
         Exact states give integer numerators over the least common
-        denominator, which is returned with them; float states give floats
-        over 1.  Computed once per state.
+        denominator (filled when the state is made), which is returned with
+        them; float states give floats over 1, computed on first use.
         """
         if self._by_shift is None:
-            if self.exact is not None:
-                cells = [
-                    (r, c, v.re, v.im)
-                    for r, row in enumerate(self.exact.rows)
-                    for c, v in enumerate(row)
-                    if v
-                ]
-                denominator = math.lcm(
-                    *(f.denominator for _, _, re, im in cells for f in (re, im))
-                )
-                cells = [
-                    (r, c, int(re * denominator), int(im * denominator))
-                    for r, c, re, im in cells
-                ]
-            else:
-                denominator = 1
-                cells = [
-                    (r, c, v.real, v.imag)
-                    for r, row in enumerate(self.matrix.tolist())
-                    for c, v in enumerate(row)
-                    if v
-                ]
             by_shift: dict[int, list[tuple]] = {}
-            for r, c, re, im in cells:
-                by_shift.setdefault(r ^ c, []).append((r, re, im))
-            self._by_shift = (by_shift, denominator)
+            for r, row in enumerate(self.matrix.tolist()):
+                for c, v in enumerate(row):
+                    if v:
+                        by_shift.setdefault(r ^ c, []).append((r, v.real, v.imag))
+            self._by_shift = (by_shift, 1)
         return self._by_shift
+
+
+def _check_exact_state(re: dict[int, int], im: dict[int, int], dim: int, denominator: int):
+    """Raise ValueError unless (re + i im) / denominator is a density matrix.
+
+    The numerators are keyed r * dim + c, zeros may be left out, and the
+    denominator is positive.  Every test is exact: hermiticity pairs each
+    nonzero cell with its transpose, the trace is the diagonal sum, and
+    positivity is ``_is_positive_semidefinite`` on the numerators.
+    """
+    for part, sign in ((re, 1), (im, -1)):
+        for key, value in part.items():
+            r, c = divmod(key, dim)
+            if part.get(c * dim + r, 0) != sign * value:
+                raise ValueError("density operator must be hermitian")
+    if sum(re.get(c * dim + c, 0) for c in range(dim)) != denominator:
+        raise ValueError("density operator must have unit trace")
+    if not _is_positive_semidefinite(re, im, dim):
+        raise ValueError("density operator not positive semidefinite")
+
+
+def _is_positive_semidefinite(re: dict[int, int], im: dict[int, int], dim: int) -> bool:
+    """Exact PSD test of the hermitian integer matrix re + i im.
+
+    X + iY is PSD iff the real symmetric [[X, -Y], [Y, X]] is, so imaginary
+    parts double the dimension.  A fraction-free LDL* that visits only the
+    nonzero entries: a positive pivot at k replaces each row j with a
+    nonzero in column k by pivot * row_j - row_j[k] * row_k, divided by the
+    gcd of its entries.  Every row stays a positive multiple of its row in
+    the Schur complement, so each pivot has the sign of the LDL* pivot: a
+    negative one, or a zero one with a nonzero rest of its row, means a
+    negative eigenvalue.  Bareiss divides every remaining row by the last
+    pivot instead, which would touch rows the pivot does not reach; the gcd
+    gives the primitive multiple of Bareiss's row, so the integers stay no
+    larger than its minors.
+    """
+    rows: dict[int, dict[int, int]] = {}
+    complex_entries = any(im.values())
+    for key, value in re.items():
+        if value:
+            r, c = divmod(key, dim)
+            rows.setdefault(r, {})[c] = value
+            if complex_entries:
+                rows.setdefault(r + dim, {})[c + dim] = value
+    for key, value in im.items():
+        if value:
+            r, c = divmod(key, dim)
+            rows.setdefault(r, {})[c + dim] = -value
+            rows.setdefault(r + dim, {})[c] = value
+    for k in sorted(rows):
+        row = rows.pop(k)
+        pivot = row.pop(k, 0)
+        if pivot < 0 or (pivot == 0 and row):
+            return False
+        # columns below k are gone, and by symmetry row j has k iff row k has j
+        for j in row:
+            target = rows[j]
+            factor = target.pop(k)
+            updated = {c: pivot * v for c, v in target.items()}
+            for c, v in row.items():
+                updated[c] = updated.get(c, 0) - factor * v
+            content = math.gcd(*updated.values()) or 1
+            rows[j] = {c: v // content for c, v in updated.items() if v}
+    return True
 
 
 def _check_observable(p: PauliString, dim: int):
@@ -394,6 +480,8 @@ def common_eigenbasis(
     projections (and hence the surviving tuples and multiplicities) are
     exact; only the final orthonormal vectors are floating point.
     """
+    import numpy as np
+
     ops = tuple(ops)
     if not ops:
         raise ValueError("need at least one operator")
@@ -432,7 +520,11 @@ def is_operational_eigenstate(
     ops: Sequence[PauliString],
     tol: float = EIGENSTATE_TOL,
 ) -> bool:
-    """True iff every joint outcome probability is 0 or 1 within tol."""
-    return all(
-        min(abs(p), abs(p - 1)) <= tol for p in joint_distribution(rho, ops).values()
-    )
+    """True iff every joint outcome probability is 0 or 1.
+
+    Exactly for an exact state; within tol for a float state.
+    """
+    probabilities = joint_distribution(rho, ops).values()
+    if rho.exact is not None:
+        return all(p == 0 or p == 1 for p in probabilities)
+    return all(min(abs(p), abs(p - 1)) <= tol for p in probabilities)

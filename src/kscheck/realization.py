@@ -58,9 +58,6 @@ class Realization:
     def measurement_labels(self) -> tuple[str, ...]:
         return tuple(sorted(set().union(*self.assoc)))
 
-    def vertices_of(self, label: str) -> tuple[int, ...]:
-        return tuple(v for v, a in enumerate(self.assoc) if label in a)
-
 
 def is_unique(realization: Realization) -> bool:
     """Singleton association per vertex and distinct measurements across

@@ -304,6 +304,49 @@ class TestExitCodesAndDeterminism:
         assert proc.wait(timeout=60) == 0
         assert "Traceback" not in err
 
+    def test_exact_inputs_never_import_numpy(self, tmp_path):
+        """Every verb on the built-ins runs without numpy; a float state loads it."""
+        doc = {**SINGLE_EDGE, "states": {"psi": {"vector": [1, 0, 0, 0]}}}
+        path = tmp_path / "vector.json"
+        path.write_text(json.dumps(doc))
+        script = """
+import contextlib, io, json, sys
+from kscheck import cli
+calls = [
+    ["verify", "peres-mermin"],
+    ["verify", "ghz", "--json"],
+    ["classify", "peres-mermin", "--realization", "spin"],
+    ["classify", "ghz", "--realization", "standard"],
+    ["search-model", "peres-mermin", "--realization", "full"],
+    ["search-model", "box-m1"],
+    ["ghz", "ghz", "--tuple", "+1,+1,+1,-1"],
+    ["ghz", "ghz", "--flip-sign"],
+    ["robustness", "ghz", "--realization", "full"],
+    ["catalog", "--json"],
+    ["catalog", "peres-mermin", "--json"],
+    ["catalog", "ghz", "--json"],
+]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in calls]
+    exact_only = "numpy" not in sys.modules
+    codes.append(cli.main(["verify", sys.argv[1]]))
+print(json.dumps([codes, exact_only, "numpy" in sys.modules]))
+"""
+        src = str(Path(kscheck.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(path)],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        codes, exact_only, float_loaded = json.loads(proc.stdout)
+        assert codes == [0] * 13
+        assert exact_only, "numpy was imported on the exact path"
+        assert float_loaded, "a vector state should load numpy"
+
     def test_invalid_graph_exit_three(self, capsys, tmp_path):
         doc = {
             "name": "bad",

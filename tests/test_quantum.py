@@ -62,6 +62,94 @@ class TestDensityOperator:
         assert rho.exact.trace().re == 1
 
 
+TINY = Fraction(1, 10**12)
+
+
+@st.composite
+def exact_hermitian(draw):
+    """(rows, t): B B* / Tr shifted by -t I and renormalized, with B a
+    dim x k Gaussian-integer matrix (dim 2-8)."""
+    dim = draw(st.integers(2, 8))
+    k = draw(st.integers(1, dim + 2))
+    real = draw(st.booleans())
+    part = st.integers(-3, 3)
+    entry = st.builds(GaussianRational, part, st.just(0) if real else part)
+    b = draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=dim, max_size=dim))
+    gram = [
+        [
+            sum((b[i][m] * b[j][m].conjugate() for m in range(k)), GaussianRational(0))
+            for j in range(dim)
+        ]
+        for i in range(dim)
+    ]
+    trace = sum(gram[i][i].re for i in range(dim))
+    assume(trace > 0)
+    # t in [0, 1/dim) on a log scale, so that it straddles lambda_min
+    shift = Fraction(draw(st.integers(0, 9)), dim * 10 ** draw(st.integers(1, 5)))
+    # (B B* / Tr - t I) / (1 - t dim): the shift moves every eigenvalue by -t
+    scale = 1 / (1 - shift * dim)
+    rows = [
+        [
+            (gram[i][j] * Fraction(1, trace) - (shift if i == j else 0)) * scale
+            for j in range(dim)
+        ]
+        for i in range(dim)
+    ]
+    return rows, shift
+
+
+class TestExactValidation:
+    @given(exact_hermitian())
+    @settings(max_examples=150, deadline=None)
+    def test_psd_verdict_matches_eigvalsh(self, case):
+        rows, shift = case
+        matrix = ComplexMatrix(rows)
+        lowest = np.linalg.eigvalsh(matrix.to_numpy()).min()
+        try:
+            rho = DensityOperator.from_exact(matrix)
+        except ValueError as exc:
+            assert "not positive semidefinite" in str(exc)
+            accepted = False
+        else:
+            assert rho.exact == matrix
+            accepted = True
+        if shift == 0:
+            assert accepted  # a Gram matrix is PSD however close to singular
+        elif abs(lowest) > 1e-9:
+            assert accepted == (lowest > 0)
+
+    def test_trace_off_by_1e_minus_12_rejected(self):
+        rows = [[Fraction(1, 2) + TINY, 0], [0, Fraction(1, 2)]]
+        with pytest.raises(ValueError, match="unit trace"):
+            DensityOperator.from_exact(ComplexMatrix(rows))
+
+    def test_complex_entries(self):
+        # |+i><+i| is a state; [[1/2, -i], [i, 1/2]] is hermitian with eigenvalue -1/2
+        half = Fraction(1, 2)
+        rho = DensityOperator.from_exact(
+            ComplexMatrix([[half, GaussianRational(0, -half)], [GaussianRational(0, half), half]])
+        )
+        assert born_probability(rho, P("Y"), 1) == 1
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            DensityOperator.from_exact(
+                ComplexMatrix([[half, GaussianRational(0, -1)], [GaussianRational(0, 1), half]])
+            )
+
+    def test_matrix_is_built_on_demand(self):
+        rho = DensityOperator.from_exact(ComplexMatrix([[1, 0], [0, 0]]))
+        assert rho.dim == 2
+        assert np.array_equal(rho.matrix, np.array([[1, 0], [0, 0]], dtype=complex))
+        assert rho.matrix is rho.matrix
+
+    def test_exact_eigenstate_check_has_no_tolerance(self):
+        rho = DensityOperator.from_exact(ComplexMatrix([[1 - TINY, 0], [0, TINY]]))
+        assert not is_operational_eigenstate(rho, [P("Z")])
+        floating = DensityOperator(rho.matrix.copy())
+        assert is_operational_eigenstate(floating, [P("Z")])
+        pure = DensityOperator.from_exact(ComplexMatrix([[1, 0], [0, 0]]))
+        assert is_operational_eigenstate(pure, [P("Z")])
+
+
 class TestBornProbability:
     def test_eigenstate_is_certain(self, z00):
         assert born_probability(z00, P("ZI"), 1) == 1

@@ -132,6 +132,26 @@ class TestParsing:
         scenario = parse_scenario(doc, digest="test")
         assert scenario.states["mixed"].exact is not None
 
+    @pytest.mark.parametrize(
+        "density, reason",
+        [
+            ([["1/2", "1/2"], ["0", "1/2"]], "hermitian"),
+            ([["1/2", ["0", "1/4"]], [["0", "1/4"], "1/2"]], "hermitian"),
+            ([["1", "0"], ["0", "1"]], "unit trace"),
+            ([["3/2", "0"], ["0", "-1/2"]], "positive semidefinite"),
+            ([["1/2", "1"], ["1", "1/2"]], "positive semidefinite"),
+        ],
+    )
+    def test_invalid_exact_density_is_positioned(self, density, reason):
+        # the 2x2 block in the corner of a two-qubit state
+        padded = [row + ["0", "0"] for row in density] + [["0"] * 4 for _ in range(2)]
+        doc = dict(MINIMAL_GRAPH)
+        doc["states"] = {"bad": {"density": padded}}
+        with pytest.raises(ScenarioParseError) as err:
+            parse_scenario(doc, digest="test")
+        assert err.value.path == "$.states.bad"
+        assert reason in err.value.reason
+
 
 class TestBuiltinsRoundTrip:
     @pytest.mark.parametrize(
