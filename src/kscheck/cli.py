@@ -27,7 +27,7 @@ from .errors import (
     ScenarioParseError,
 )
 from .graph import SEARCH_CAP, search_assignments
-from .ontology import min_violation_fraction, search_ncvd
+from .ontology import _state_name, _support_search, min_violation_fraction
 from .operational import OperationalTheory, from_quantum
 from .realization import classify_type, lemma_check, run_type2_argument
 from .scenario import Scenario, load_scenario, scenario_to_dict
@@ -170,9 +170,6 @@ def cmd_classify(args) -> Report:
     kind = classify_type(graph, realization)
     lemma = lemma_check(graph, realization)
     elapsed = time.perf_counter() - start
-    from .realization import is_hyperedge_based, is_unique
-
-    based, based_edges = is_hyperedge_based(graph, realization)
     flagged = [
         {"edge": e, "vertices": list(graph.edge_labels(e))}
         for e in kind.non_comeasurable_edges
@@ -183,9 +180,9 @@ def cmd_classify(args) -> Report:
         verdicts={
             "type": kind.kind,
             "non_comeasurable_edges": flagged,
-            "unique": is_unique(realization),
-            "hyperedge_based": based,
-            "hyperedge_based_edges": list(based_edges),
+            "unique": lemma.unique,
+            "hyperedge_based": lemma.hyperedge_based,
+            "hyperedge_based_edges": list(lemma.hyperedge_based_edges),
             "lemma_holds": lemma.holds,
             "lemma_antecedent": lemma.antecedent,
             "lemma_witnesses": [graph.labels[v] for v in lemma.witnesses],
@@ -197,7 +194,7 @@ def cmd_classify(args) -> Report:
     ) or "none"
     report.lines = [
         f"  type {kind.kind}; non-comeasurable edges: {edges_text}",
-        f"  unique: {is_unique(realization)}, hyperedge-based: {based}",
+        f"  unique: {lemma.unique}, hyperedge-based: {lemma.hyperedge_based}",
         f"  lemma: antecedent={'holds' if lemma.antecedent else 'fails'}, "
         f"implication {'holds' if lemma.holds else 'VIOLATED'}",
     ]
@@ -208,33 +205,29 @@ def cmd_search_model(args) -> Report:
     scenario = load_scenario(args.scenario)
     theory, origin = _theory_for(scenario, args.realization)
     start = time.perf_counter()
-    model = search_ncvd(theory, cap=args.cap)
-    # a model violates no support, so only UNSAT needs the second search
-    if model is None:
-        fraction = min_violation_fraction(theory, cap=args.cap)
-    else:
-        fraction = Fraction(0)
+    models, best = _support_search(theory, args.cap)
+    fraction = Fraction(best, len(theory.maximal_joints)) if best else Fraction(0)
     elapsed = time.perf_counter() - start
     n_basics = len(theory.basics)
     report = Report(
         command="search-model",
         inputs={**_scenario_inputs(scenario), **origin},
         verdicts={
-            "satisfiable": model is not None,
+            "satisfiable": bool(models),
             "assignments_checked": 2**n_basics,
-            "model_states": list(model.ontic_states) if model else None,
+            "model_states": [_state_name(values) for values in models] if models else None,
             "min_violation_fraction": str(fraction),
         },
         timing_s=elapsed,
     )
-    if model is None:
+    if not models:
         report.lines = [
             f"  UNSAT: none of the {2**n_basics} deterministic noncontextual "
             "assignments fits the supports",
         ]
     else:
         report.lines = [
-            f"  SAT: {len(model.ontic_states)} deterministic noncontextual "
+            f"  SAT: {len(models)} deterministic noncontextual "
             "assignments fit the supports",
         ]
     report.lines.append(f"  minimum violation fraction: {fraction}")

@@ -104,8 +104,6 @@ class GaussianRational:
 
 
 ZERO = GaussianRational(0)
-ONE = GaussianRational(1)
-I_UNIT = GaussianRational(0, 1)
 
 
 def _as_entry(value) -> GaussianRational:

@@ -213,6 +213,7 @@ def depth_first(
     constraints: Iterable[tuple[Sequence[int], Collection[tuple]]],
     bound: int,
     leaf: Callable[[tuple, int], int],
+    cap: int = SEARCH_CAP,
 ) -> int:
     """Depth-first search over assignments of ``domains[d]`` to variable d.
 
@@ -224,9 +225,12 @@ def depth_first(
     of violated constraints reaches ``bound`` (at least 1 to start with).
     ``leaf(values, violated)`` is called for every leaf that is not cut and
     returns the new bound; the search stops once the bound is 0.  Returns
-    the final bound.
+    the final bound.  More than ``cap`` variables raise CapExceededError
+    before anything is searched.
     """
     n = len(domains)
+    if n > cap:
+        raise CapExceededError(f"{n} search variables exceed the cap of {cap}")
     # due[d]: (scope reader, allowed tuples) of the constraints completed at d
     due: list[list] = [[] for _ in range(n)]
     for positions, allowed in constraints:
@@ -266,9 +270,6 @@ def search_assignments(graph: KSGraph, cap: int = SEARCH_CAP) -> TheoremVerdict:
     Each edge is checked against its admissible tuples once it is fully
     assigned; witnesses come out in lexicographic order (+1 before -1).
     """
-    n = graph.n_vertices
-    if n > cap:
-        raise CapExceededError(f"{n} vertices exceeds the search cap of {cap}")
     constraints = [
         (edge, frozenset(admissible_tuples(graph, e_idx)))
         for e_idx, edge in enumerate(graph.hyperedges)
@@ -279,7 +280,7 @@ def search_assignments(graph: KSGraph, cap: int = SEARCH_CAP) -> TheoremVerdict:
         witnesses.append(values)
         return 1
 
-    depth_first([(1, -1)] * n, constraints, 1, keep)
+    depth_first([(1, -1)] * graph.n_vertices, constraints, 1, keep, cap)
     return TheoremVerdict(
         satisfiable=bool(witnesses),
         witnesses=tuple(witnesses),

@@ -8,11 +8,12 @@ and responses carry no preparation argument (lambda-sufficiency).
 
 The existence search ranges over deterministic outcome assignments to the
 basic measurements only; noncontextual value-definite responses factorize,
-so nothing more general can exist.  It runs on ``graph.depth_first``,
-which checks each maximal joint's support as soon as all its members have
-values and cuts every branch that can no longer succeed: at the first
-violated joint when looking for a model, and once the violations reach the
-best count found so far when minimizing them (branch and bound).
+so nothing more general can exist.  One ``graph.depth_first`` pass checks
+each maximal joint's support as soon as its members have values; it
+branch-and-bounds the number of violated joints until an assignment
+violates none, then lists the other such assignments.  ``search_ncvd``
+wraps them in a model, ``min_violation_fraction`` stops at the first, and
+``search-model`` reads both verdicts off the pass without building a model.
 """
 
 from __future__ import annotations
@@ -22,9 +23,10 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterable, Mapping, Sequence
 
-from .errors import CapExceededError, NotTwoValuedError
+from .errors import NotTwoValuedError
 from .graph import SEARCH_CAP, depth_first
 from .operational import Joint, Measurement, OperationalTheory, support
+from .operational import _close_family, _maximal_members
 
 RECOVERY_TOL = 1e-10
 RESPONSE_TOL = 1e-12
@@ -42,8 +44,6 @@ class OntologicalModel:
         prep_distributions: Mapping[str, Mapping[str, object]],
         responses: Mapping[tuple[frozenset, str], Mapping[tuple[str, ...], object]],
     ):
-        from .operational import _close_family
-
         self.basics = tuple(basics)
         self._by_label = {m.label: m for m in self.basics}
         self._order = {m.label: i for i, m in enumerate(self.basics)}
@@ -77,7 +77,7 @@ class OntologicalModel:
     def maximal_joints(self) -> tuple[Joint, ...]:
         return tuple(
             sorted(
-                (j for j in self.family if not any(j < other for other in self.family)),
+                _maximal_members(self.family, ()),
                 key=lambda j: tuple(sorted(self._order[x] for x in j)),
             )
         )
@@ -127,15 +127,11 @@ class OntologicalModel:
         """One ontic state per assignment of outcome labels to basics;
         responses are the induced deterministic, factorizing ones and
         preparations are uniform over the states."""
-        from .operational import _close_family
-
         labels = [m.label for m in basics]
         family = _close_family(comeasurable, labels)
         order = {label: i for i, label in enumerate(labels)}
         members_of = [(joint, sorted(joint, key=order.get)) for joint in family]
-        ontic = [
-            ",".join(assignment[label] for label in labels) for assignment in assignments
-        ]
+        ontic = [_state_name(a[label] for label in labels) for a in assignments]
         one = Fraction(1)
         responses = {}
         for assignment, lam in zip(assignments, ontic):
@@ -349,18 +345,28 @@ def classify_model(model: OntologicalModel, theory: OperationalTheory) -> ModelV
 # -- existence search --------------------------------------------------------
 
 
-def _support_search(theory: OperationalTheory, cap: int):
-    """``depth_first`` domains and constraints: the basics' outcome labels in
-    declaration order, and each maximal joint's support on its members."""
+def _state_name(outcomes: Iterable[str]) -> str:
+    """Ontic state of an assignment: the basics' outcome labels, in order."""
+    return ",".join(outcomes)
+
+
+def _support_search(
+    theory: OperationalTheory, cap: int, first_only: bool = False
+) -> tuple[list[tuple[str, ...]], int]:
+    """One ``depth_first`` pass over the outcome assignments to the basics,
+    each maximal joint constrained to its support.
+
+    Returns ``(models, best)``: the assignments that violate no support, in
+    ``itertools.product`` order over the basics' outcome labels, and the
+    minimum number of violated joints.  The search branch-and-bounds that
+    number until the first model, and then cuts each branch at its first
+    violated joint, or stops if ``first_only``.
+    """
     for m in theory.basics:
         if len(m.outcomes) != 2:
             raise NotTwoValuedError(
                 f"search needs two-valued basics; {m.label} has {len(m.outcomes)} outcomes"
             )
-    if len(theory.basics) > cap:
-        raise CapExceededError(
-            f"{len(theory.basics)} basic measurements exceeds the cap of {cap}"
-        )
     index = {m.label: i for i, m in enumerate(theory.basics)}
     constraints = [
         (
@@ -369,7 +375,17 @@ def _support_search(theory: OperationalTheory, cap: int):
         )
         for joint in theory.maximal_joints
     ]
-    return [m.outcome_labels for m in theory.basics], constraints
+    models = []
+
+    def leaf(values, violated):
+        if violated:
+            return violated
+        models.append(values)
+        return 0 if first_only else 1
+
+    domains = [m.outcome_labels for m in theory.basics]
+    best = depth_first(domains, constraints, len(constraints) + 1, leaf, cap)
+    return models, 0 if models else best
 
 
 def search_ncvd(
@@ -378,26 +394,21 @@ def search_ncvd(
     """Search for a noncontextual value-definite model of the theory.
 
     An outcome assignment to the basic measurements survives iff each
-    maximal joint's induced tuple lies in that joint's support.  The
-    depth-first search cuts a branch at its first violated joint, so only
-    prefixes that still fit every checked support are extended.  Returns a
+    maximal joint's induced tuple lies in that joint's support.  Returns a
     model with one ontic state per surviving assignment, in
     ``itertools.product`` order over the basics' outcome labels (uniform
     preparation weights), or None when no assignment survives.
     """
-    labels = [m.label for m in theory.basics]
-    accepted = []
-
-    def keep(values, violated):
-        accepted.append(dict(zip(labels, values)))
-        return 1
-
-    depth_first(*_support_search(theory, cap), 1, keep)
-    if not accepted:
+    models, _ = _support_search(theory, cap)
+    if not models:
         return None
+    labels = [m.label for m in theory.basics]
     comeasurable = [tuple(j) for j in theory.family]
     return OntologicalModel.from_deterministic_assignments(
-        theory.basics, comeasurable, accepted, theory.preparations
+        theory.basics,
+        comeasurable,
+        [dict(zip(labels, values)) for values in models],
+        theory.preparations,
     )
 
 
@@ -405,16 +416,10 @@ def min_violation_fraction(theory: OperationalTheory, cap: int = SEARCH_CAP) -> 
     """Minimum, over all deterministic noncontextual assignments, of the
     fraction of maximal joints whose induced outcome falls outside the
     support.  Exact rational; 0 iff a noncontextual value-definite model
-    exists.
-
-    Branch and bound on the number of violated joints: each leaf reached
-    sets a new best, a branch is cut once its count reaches the best, and
-    the search returns as soon as an assignment violates nothing.
+    exists, and the search stops at the first such assignment.
     """
     n_joints = len(theory.maximal_joints)
-    best = depth_first(
-        *_support_search(theory, cap), n_joints + 1, lambda values, violated: violated
-    )
+    _, best = _support_search(theory, cap, first_only=True)
     if not n_joints:
         raise ValueError("theory has no maximal joints to violate")
     return Fraction(best, n_joints)

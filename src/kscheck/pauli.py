@@ -60,9 +60,6 @@ class Phase:
 
 
 PLUS = Phase(0)
-PLUS_I = Phase(1)
-MINUS = Phase(2)
-MINUS_I = Phase(3)
 
 
 def _single_product(a: str, b: str) -> tuple[int, str]:
@@ -207,10 +204,6 @@ class PauliString:
 
     def __str__(self):
         return f"{self.phase}{self.letters}"
-
-
-def parse(text: str) -> PauliString:
-    return PauliString.parse(text)
 
 
 def multiply(a: PauliString, b: PauliString) -> PauliString:

@@ -20,7 +20,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import BadArgumentError, CapExceededError
 from .graph import SEARCH_CAP, KSGraph, depth_first
-from .operational import OUTCOME_MINUS, OUTCOME_PLUS, _close_family, from_quantum, support
+from .operational import OUTCOME_MINUS, OUTCOME_PLUS, SUPPORT_TOL, _close_family, from_quantum
 from .quantum import DensityOperator, born_probability, is_operational_eigenstate
 
 SWEEP_POOL_LIMIT = 12
@@ -486,10 +486,6 @@ def run_type2_argument(
     the pinned edge's sign as inverted (no eigenstate exists for that, so
     step 1 is skipped) and must make the search satisfiable.
     """
-    if graph.n_vertices > cap:
-        raise CapExceededError(
-            f"{graph.n_vertices} vertices exceeds the search cap of {cap}"
-        )
     kind = classify_type(graph, realization)
     if kind.kind != "II":
         raise BadArgumentError(
@@ -531,9 +527,18 @@ def run_type2_argument(
     constraints = []
     for e_idx, members in enumerate(graph.hyperedges):
         if e_idx != pinned_edge:
+            # the edge's own support: a maximal joint's table, or the marginal
+            # of one when the edge lies inside a larger comeasurable set
             joint = frozenset(label_of[v] for v in members)
             positions = [vertex_of[label] for label in theory.component_order(joint)]
-            allowed = {tuple(value_of[o] for o in t) for t in support(theory, joint)}
+            allowed = {
+                tuple(value_of[o] for o in t)
+                for t in theory.outcome_tuples(joint)
+                if any(
+                    float(theory.probability(joint, t, prep)) > SUPPORT_TOL
+                    for prep in theory.preparations
+                )
+            }
             constraints.append((positions, allowed))
 
     # each pinned vertex tries only its eigenvalue
@@ -547,7 +552,7 @@ def run_type2_argument(
         witness = values
         return 0
 
-    depth_first(domains, constraints, 1, stop)
+    depth_first(domains, constraints, 1, stop, cap)
     return Type2Result(
         satisfiable=witness is not None,
         pinned_edge=pinned_edge,

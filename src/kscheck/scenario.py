@@ -19,7 +19,7 @@ from .errors import InvalidGraphError, ScenarioParseError
 from .exact import ComplexMatrix, GaussianRational
 from .graph import KSGraph, build_graph
 from .ontology import OntologicalModel
-from .operational import Measurement, OperationalTheory
+from .operational import Measurement, OperationalTheory, _maximal_members
 from .quantum import DensityOperator
 from .realization import Realization
 
@@ -400,11 +400,7 @@ def scenario_to_dict(scenario: Scenario) -> dict:
         blocks = {}
         for rname, realization in scenario.realizations.items():
             assert graph is not None
-            maximal = [
-                sorted(j)
-                for j in realization.comeasurable
-                if not any(j < other for other in realization.comeasurable)
-            ]
+            maximal = [sorted(j) for j in _maximal_members(realization.comeasurable, ())]
             blocks[rname] = {
                 "assoc": {
                     graph.labels[v]: sorted(a)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,8 @@ from pathlib import Path
 import pytest
 
 import kscheck
-from kscheck import cli
+from kscheck import cli, ontology
+from kscheck.catalog import PM_EDGES, PM_VERTICES
 from kscheck.cli import Report, main
 
 SINGLE_EDGE = {
@@ -188,6 +190,39 @@ class TestSearchModel:
         assert doc["verdicts"]["min_violation_fraction"] == "0"
 
 
+    def test_unsat_runs_one_search_and_builds_no_model(self, capsys, monkeypatch):
+        calls = []
+        depth_first = ontology.depth_first
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return depth_first(*args, **kwargs)
+
+        def no_model(*args, **kwargs):
+            raise AssertionError("search-model built an OntologicalModel")
+
+        monkeypatch.setattr(ontology, "depth_first", counted)
+        monkeypatch.setattr(ontology.OntologicalModel, "__init__", no_model)
+        code, out, _ = run(
+            capsys, "search-model", "peres-mermin", "--realization", "full", "--json"
+        )
+        doc = json.loads(out)
+        assert code == 0
+        assert doc["verdicts"]["satisfiable"] is False
+        assert doc["verdicts"]["min_violation_fraction"] == "1/6"
+        assert len(calls) == 1
+
+    def test_sat_builds_no_model(self, capsys, monkeypatch):
+        def no_model(*args, **kwargs):
+            raise AssertionError("search-model built an OntologicalModel")
+
+        monkeypatch.setattr(ontology.OntologicalModel, "__init__", no_model)
+        code, out, _ = run(capsys, "search-model", "box-m1", "--json")
+        doc = json.loads(out)
+        assert code == 0
+        assert doc["verdicts"]["model_states"] == ["black,big", "white,small"]
+
+
 @pytest.mark.parametrize("verb", ["search-model", "robustness"])
 def test_three_outcome_basics_exit_six(capsys, tmp_path, verb):
     path = tmp_path / "three.json"
@@ -226,6 +261,36 @@ class TestGhz:
         code, out, _ = run(capsys, "ghz", "ghz", "--cap", "5")
         assert code == 5
         assert out == ""
+
+
+    def test_edge_inside_a_larger_comeasurable_set(self, capsys, tmp_path):
+        # the square plus j = ZZ and the edge {a, b, j}, which is comeasurable
+        # only as part of {a, b, c, j}; the third column stays the one
+        # non-comeasurable edge, and extra constraints cannot rescue an
+        # UNSAT type II argument
+        quarter = [["1/4" if r == c else 0 for c in range(4)] for r in range(4)]
+        labels = [label for label, _ in PM_VERTICES] + ["j"]
+        doc = {
+            "name": "square-plus-edge",
+            "vertices": [{"label": label, "operator": op} for label, op in PM_VERTICES]
+            + [{"label": "j", "operator": "ZZ"}],
+            "hyperedges": [list(edge) for edge in PM_EDGES] + [[0, 1, 9]],
+            "states": {"mixed": {"density": quarter}},
+            "realizations": {
+                "standard": {
+                    "assoc": {label: [label] for label in labels},
+                    "comeasurable": [
+                        ["a", "b", "c", "j"], ["d", "e", "f"], ["g", "h", "i"],
+                        ["a", "d", "g"], ["b", "e", "h"],
+                    ],
+                }
+            },
+        }
+        path = tmp_path / "square-plus-edge.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "ghz", str(path))
+        assert code == 0, err
+        assert "UNSAT (argument succeeds)" in out
 
 
 class TestRobustness:
@@ -368,6 +433,38 @@ print(json.dumps([codes, exact_only, "numpy" in sys.modules]))
     def test_cap_exit_five(self, capsys):
         code, _, err = run(capsys, "verify", "ghz", "--cap", "5")
         assert code == 5
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "ghz"],
+            ["ghz", "ghz"],
+            ["search-model", "peres-mermin", "--realization", "full"],
+            ["robustness", "peres-mermin", "--realization", "full"],
+        ],
+    )
+    def test_one_cap_message(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--cap", "4")
+        assert code == 5
+        assert out == ""
+        assert re.fullmatch(r"cap exceeded: \d+ search variables exceed the cap of 4\n", err)
+
+    def test_type_error_wins_over_cap(self, capsys):
+        # ghz classifies before it searches, so a type III realization is
+        # reported as such even when the search would exceed the cap
+        code, _, err = run(
+            capsys, "ghz", "peres-mermin", "--realization", "spin", "--cap", "4"
+        )
+        assert code == 6
+        assert "not II" in err
+
+    @pytest.mark.parametrize("verb", ["search-model", "robustness"])
+    def test_two_valued_error_wins_over_cap(self, capsys, tmp_path, verb):
+        path = tmp_path / "three.json"
+        path.write_text(json.dumps(THREE_OUTCOMES))
+        code, _, err = run(capsys, verb, str(path), "--cap", "1")
+        assert code == 6
+        assert "two-valued" in err
 
     def test_verdicts_deterministic_across_runs(self, capsys):
         _, out1, _ = run(capsys, "verify", "peres-mermin", "--json")

@@ -11,6 +11,7 @@ from kscheck.errors import CapExceededError, InvalidGraphError
 from kscheck.graph import (
     admissible_tuples,
     build_graph,
+    depth_first,
     derive_hyperedges,
     parity_certificate,
     search_assignments,
@@ -149,6 +150,19 @@ class TestSearchAssignments:
     def test_cap(self, pm_graph):
         with pytest.raises(CapExceededError):
             search_assignments(pm_graph, cap=8)
+
+    def test_depth_first_refuses_before_searching(self):
+        leaves = []
+
+        def leaf(values, violated):
+            leaves.append(values)
+            return 1
+
+        with pytest.raises(CapExceededError, match="3 search variables exceed the cap of 2"):
+            depth_first([(1, -1)] * 3, [], 1, leaf, cap=2)
+        assert leaves == []
+        assert depth_first([(1, -1)] * 2, [], 1, leaf, cap=2) == 1
+        assert len(leaves) == 4
 
     def test_matches_brute_force_on_both_builtins(self, pm_graph, ghz_graph):
         for graph in (pm_graph, ghz_graph):

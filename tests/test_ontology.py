@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kscheck.errors import CapExceededError
-from kscheck.graph import build_graph, search_assignments
+from kscheck.graph import SEARCH_CAP, build_graph, search_assignments
 from kscheck.ontology import (
     OntologicalModel,
+    _support_search,
     classify_model,
     factorizes,
     is_noncontextual,
@@ -495,6 +496,9 @@ class TestPrunedSearchAgainstFullScan:
         model = search_ncvd(theory)
         assert (model.ontic_states if model is not None else ()) == accepted
         assert (model is None) == (not accepted)
+        models = tuple(combo for combo, violated in scan if violated == 0)
+        assert _support_search(theory, SEARCH_CAP) == (list(models), best)
+        assert _support_search(theory, SEARCH_CAP, first_only=True) == (list(models[:1]), best)
 
 
 class TestScreeningOffByRepresentation:
