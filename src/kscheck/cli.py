@@ -15,7 +15,6 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import catalog as catalog_mod
 from .errors import (
@@ -27,7 +26,7 @@ from .errors import (
     ScenarioParseError,
 )
 from .graph import SEARCH_CAP, search_assignments
-from .ontology import _state_name, _support_search, min_violation_fraction
+from .ontology import min_violation_fraction, search_states
 from .operational import OperationalTheory, from_quantum
 from .realization import classify_type, lemma_check, run_type2_argument
 from .scenario import Scenario, load_scenario, scenario_to_dict
@@ -205,29 +204,28 @@ def cmd_search_model(args) -> Report:
     scenario = load_scenario(args.scenario)
     theory, origin = _theory_for(scenario, args.realization)
     start = time.perf_counter()
-    models, best = _support_search(theory, args.cap)
-    fraction = Fraction(best, len(theory.maximal_joints)) if best else Fraction(0)
+    states, fraction = search_states(theory, args.cap)
     elapsed = time.perf_counter() - start
     n_basics = len(theory.basics)
     report = Report(
         command="search-model",
         inputs={**_scenario_inputs(scenario), **origin},
         verdicts={
-            "satisfiable": bool(models),
+            "satisfiable": bool(states),
             "assignments_checked": 2**n_basics,
-            "model_states": [_state_name(values) for values in models] if models else None,
+            "model_states": states or None,
             "min_violation_fraction": str(fraction),
         },
         timing_s=elapsed,
     )
-    if not models:
+    if not states:
         report.lines = [
             f"  UNSAT: none of the {2**n_basics} deterministic noncontextual "
             "assignments fits the supports",
         ]
     else:
         report.lines = [
-            f"  SAT: {len(models)} deterministic noncontextual "
+            f"  SAT: {len(states)} deterministic noncontextual "
             "assignments fit the supports",
         ]
     report.lines.append(f"  minimum violation fraction: {fraction}")

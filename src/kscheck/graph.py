@@ -208,6 +208,12 @@ def admissible_tuples(graph: KSGraph, edge_index: int) -> tuple[tuple[int, ...],
     return tuple(combo for combo in combos if prod(combo) == sign)
 
 
+def check_cap(n_variables: int, cap: int) -> None:
+    """Refuse a search over more than ``cap`` variables."""
+    if n_variables > cap:
+        raise CapExceededError(f"{n_variables} search variables exceed the cap of {cap}")
+
+
 def depth_first(
     domains: Sequence[Sequence],
     constraints: Iterable[tuple[Sequence[int], Collection[tuple]]],
@@ -226,11 +232,10 @@ def depth_first(
     ``leaf(values, violated)`` is called for every leaf that is not cut and
     returns the new bound; the search stops once the bound is 0.  Returns
     the final bound.  More than ``cap`` variables raise CapExceededError
-    before anything is searched.
+    before a constraint is read, so callers may pass them lazily.
     """
     n = len(domains)
-    if n > cap:
-        raise CapExceededError(f"{n} search variables exceed the cap of {cap}")
+    check_cap(n, cap)
     # due[d]: (scope reader, allowed tuples) of the constraints completed at d
     due: list[list] = [[] for _ in range(n)]
     for positions, allowed in constraints:
@@ -270,10 +275,10 @@ def search_assignments(graph: KSGraph, cap: int = SEARCH_CAP) -> TheoremVerdict:
     Each edge is checked against its admissible tuples once it is fully
     assigned; witnesses come out in lexicographic order (+1 before -1).
     """
-    constraints = [
+    constraints = (
         (edge, frozenset(admissible_tuples(graph, e_idx)))
         for e_idx, edge in enumerate(graph.hyperedges)
-    ]
+    )
     witnesses: list[ValueAssignment] = []
 
     def keep(values: ValueAssignment, violated: int) -> int:

@@ -8,12 +8,11 @@ and responses carry no preparation argument (lambda-sufficiency).
 
 The existence search ranges over deterministic outcome assignments to the
 basic measurements only; noncontextual value-definite responses factorize,
-so nothing more general can exist.  One ``graph.depth_first`` pass checks
-each maximal joint's support as soon as its members have values; it
-branch-and-bounds the number of violated joints until an assignment
-violates none, then lists the other such assignments.  ``search_ncvd``
-wraps them in a model, ``min_violation_fraction`` stops at the first, and
-``search-model`` reads both verdicts off the pass without building a model.
+so nothing more general can exist.  Each verb runs one ``graph.depth_first``
+pass, which checks each maximal joint's support as soon as its members have
+values.  ``search_states`` and ``min_violation_fraction`` branch-and-bound
+the number of violated joints until an assignment violates none, and the
+latter stops there; ``search_ncvd`` cuts a branch at its first violation.
 """
 
 from __future__ import annotations
@@ -351,16 +350,14 @@ def _state_name(outcomes: Iterable[str]) -> str:
 
 
 def _support_search(
-    theory: OperationalTheory, cap: int, first_only: bool = False
-) -> tuple[list[tuple[str, ...]], int]:
-    """One ``depth_first`` pass over the outcome assignments to the basics,
-    each maximal joint constrained to its support.
-
-    Returns ``(models, best)``: the assignments that violate no support, in
-    ``itertools.product`` order over the basics' outcome labels, and the
-    minimum number of violated joints.  The search branch-and-bounds that
-    number until the first model, and then cuts each branch at its first
-    violated joint, or stops if ``first_only``.
+    theory: OperationalTheory, cap: int, first_only: bool = False, minimize: bool = True
+) -> tuple[list[tuple[str, ...]], Fraction | None]:
+    """``(models, fraction)`` from one ``depth_first`` pass: the assignments
+    to the basics that violate no maximal joint's support, in
+    ``itertools.product`` order, and the least fraction of joints violated.
+    Before the first model the count is branch-and-bounded; after it each
+    branch is cut at its first violation, or ``first_only`` stops.  Without
+    ``minimize`` branches are always cut there, and the fraction is None.
     """
     for m in theory.basics:
         if len(m.outcomes) != 2:
@@ -368,13 +365,14 @@ def _support_search(
                 f"search needs two-valued basics; {m.label} has {len(m.outcomes)} outcomes"
             )
     index = {m.label: i for i, m in enumerate(theory.basics)}
-    constraints = [
+    joints = theory.maximal_joints
+    constraints = (
         (
             tuple(index[label] for label in theory.component_order(joint)),
             frozenset(support(theory, joint)),
         )
-        for joint in theory.maximal_joints
-    ]
+        for joint in joints
+    )
     models = []
 
     def leaf(values, violated):
@@ -384,8 +382,16 @@ def _support_search(
         return 0 if first_only else 1
 
     domains = [m.outcome_labels for m in theory.basics]
-    best = depth_first(domains, constraints, len(constraints) + 1, leaf, cap)
-    return models, 0 if models else best
+    best = depth_first(domains, constraints, len(joints) + 1 if minimize else 1, leaf, cap)
+    fraction = Fraction(0) if models else Fraction(best, len(joints))
+    return models, fraction if minimize else None
+
+
+def search_states(theory: OperationalTheory, cap: int = SEARCH_CAP) -> tuple[list[str], Fraction]:
+    """The ontic states of ``search_ncvd``'s model ([] if none) and
+    ``min_violation_fraction``, from one pass and without building a model."""
+    models, fraction = _support_search(theory, cap)
+    return [_state_name(values) for values in models], fraction
 
 
 def search_ncvd(
@@ -399,16 +405,14 @@ def search_ncvd(
     ``itertools.product`` order over the basics' outcome labels (uniform
     preparation weights), or None when no assignment survives.
     """
-    models, _ = _support_search(theory, cap)
+    models, _ = _support_search(theory, cap, minimize=False)
     if not models:
         return None
     labels = [m.label for m in theory.basics]
-    comeasurable = [tuple(j) for j in theory.family]
+    assignments = [dict(zip(labels, values)) for values in models]
+    # the maximal joints close to the theory's whole family
     return OntologicalModel.from_deterministic_assignments(
-        theory.basics,
-        comeasurable,
-        [dict(zip(labels, values)) for values in models],
-        theory.preparations,
+        theory.basics, theory.maximal_joints, assignments, theory.preparations
     )
 
 
@@ -418,8 +422,7 @@ def min_violation_fraction(theory: OperationalTheory, cap: int = SEARCH_CAP) -> 
     support.  Exact rational; 0 iff a noncontextual value-definite model
     exists, and the search stops at the first such assignment.
     """
-    n_joints = len(theory.maximal_joints)
-    _, best = _support_search(theory, cap, first_only=True)
-    if not n_joints:
+    _, fraction = _support_search(theory, cap, first_only=True)
+    if not theory.maximal_joints:
         raise ValueError("theory has no maximal joints to violate")
-    return Fraction(best, n_joints)
+    return fraction

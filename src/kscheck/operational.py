@@ -308,14 +308,19 @@ def support(theory: OperationalTheory, joint: Joint) -> tuple[tuple[str, ...], .
     joint = frozenset(joint)
     if joint not in theory.maximal_joints:
         raise ValueError(f"{set(joint)} is not a maximal joint")
-    out = []
-    for outcomes in theory.outcome_tuples(joint):
+    return _family_support(theory, joint)
+
+
+def _family_support(theory: OperationalTheory, joint: Joint) -> tuple[tuple[str, ...], ...]:
+    """``support`` of any family member, read through ``theory.probability``."""
+    return tuple(
+        outcomes
+        for outcomes in theory.outcome_tuples(joint)
         if any(
-            float(theory.stored_value(joint, outcomes, prep)) > SUPPORT_TOL
+            float(theory.probability(joint, outcomes, prep)) > SUPPORT_TOL
             for prep in theory.preparations
-        ):
-            out.append(outcomes)
-    return tuple(out)
+        )
+    )
 
 
 def eigenstate_preparations(theory: OperationalTheory, joint: Joint) -> tuple[str, ...]:

@@ -19,8 +19,8 @@ from math import prod
 from typing import Iterable, Mapping, Sequence
 
 from .errors import BadArgumentError, CapExceededError
-from .graph import SEARCH_CAP, KSGraph, depth_first
-from .operational import OUTCOME_MINUS, OUTCOME_PLUS, SUPPORT_TOL, _close_family, from_quantum
+from .graph import SEARCH_CAP, KSGraph, check_cap, depth_first
+from .operational import OUTCOME_MINUS, OUTCOME_PLUS, _close_family, _family_support, from_quantum
 from .quantum import DensityOperator, born_probability, is_operational_eigenstate
 
 SWEEP_POOL_LIMIT = 12
@@ -492,6 +492,8 @@ def run_type2_argument(
             f"realization is type {kind.kind}, not II "
             f"(non-comeasurable edges: {kind.non_comeasurable_edges})"
         )
+    # before the eigenstate, whose checks grow as 2^(edge size)
+    check_cap(graph.n_vertices, cap)
     pinned_edge = kind.non_comeasurable_edges[0]
     edge = graph.hyperedges[pinned_edge]
     sign = graph.edge_signs[pinned_edge]
@@ -527,18 +529,9 @@ def run_type2_argument(
     constraints = []
     for e_idx, members in enumerate(graph.hyperedges):
         if e_idx != pinned_edge:
-            # the edge's own support: a maximal joint's table, or the marginal
-            # of one when the edge lies inside a larger comeasurable set
             joint = frozenset(label_of[v] for v in members)
             positions = [vertex_of[label] for label in theory.component_order(joint)]
-            allowed = {
-                tuple(value_of[o] for o in t)
-                for t in theory.outcome_tuples(joint)
-                if any(
-                    float(theory.probability(joint, t, prep)) > SUPPORT_TOL
-                    for prep in theory.preparations
-                )
-            }
+            allowed = {tuple(value_of[o] for o in t) for t in _family_support(theory, joint)}
             constraints.append((positions, allowed))
 
     # each pinned vertex tries only its eigenvalue

@@ -3,8 +3,10 @@
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -448,6 +450,36 @@ print(json.dumps([codes, exact_only, "numpy" in sys.modules]))
         assert code == 5
         assert out == ""
         assert re.fullmatch(r"cap exceeded: \d+ search variables exceed the cap of 4\n", err)
+
+    @pytest.mark.parametrize("verb", ["verify", "ghz"])
+    def test_wide_edge_refused_before_any_work(self, tmp_path, verb):
+        # the 31 Z-type words on 5 qubits form one edge (each qubit's Z occurs
+        # 16 times); its 2^30 admissible tuples, or the 2^31 subset products
+        # that check its eigenstate, would exhaust the child's 1 GB limit
+        words = ["".join(w) for w in product("IZ", repeat=5)][1:]
+        labels = [f"v{k}" for k in range(len(words))]
+        doc = {
+            "name": "z-words",
+            "vertices": [{"label": l, "operator": w} for l, w in zip(labels, words)],
+            "hyperedges": [list(range(len(words)))],
+            "realizations": {
+                "standard": {"assoc": {l: [l] for l in labels}, "comeasurable": []}
+            },
+        }
+        path = tmp_path / "z-words.json"
+        path.write_text(json.dumps(doc))
+        src = str(Path(kscheck.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        proc = subprocess.run(
+            [sys.executable, "-m", "kscheck.cli", verb, str(path)],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)),
+        )
+        assert proc.returncode == 5, proc.stderr
+        assert proc.stderr == "cap exceeded: 31 search variables exceed the cap of 24\n"
 
     def test_type_error_wins_over_cap(self, capsys):
         # ghz classifies before it searches, so a type III realization is

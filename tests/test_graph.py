@@ -158,8 +158,12 @@ class TestSearchAssignments:
             leaves.append(values)
             return 1
 
+        def constraints():
+            raise AssertionError("a constraint was read")
+            yield
+
         with pytest.raises(CapExceededError, match="3 search variables exceed the cap of 2"):
-            depth_first([(1, -1)] * 3, [], 1, leaf, cap=2)
+            depth_first([(1, -1)] * 3, constraints(), 1, leaf, cap=2)
         assert leaves == []
         assert depth_first([(1, -1)] * 2, [], 1, leaf, cap=2) == 1
         assert len(leaves) == 4

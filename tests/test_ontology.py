@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kscheck import ontology
 from kscheck.errors import CapExceededError
 from kscheck.graph import SEARCH_CAP, build_graph, search_assignments
 from kscheck.ontology import (
@@ -20,6 +21,7 @@ from kscheck.ontology import (
     recovers,
     satisfies_spekkens,
     search_ncvd,
+    search_states,
 )
 from kscheck.operational import (
     Measurement,
@@ -496,9 +498,29 @@ class TestPrunedSearchAgainstFullScan:
         model = search_ncvd(theory)
         assert (model.ontic_states if model is not None else ()) == accepted
         assert (model is None) == (not accepted)
-        models = tuple(combo for combo, violated in scan if violated == 0)
-        assert _support_search(theory, SEARCH_CAP) == (list(models), best)
-        assert _support_search(theory, SEARCH_CAP, first_only=True) == (list(models[:1]), best)
+        models = list(combo for combo, violated in scan if violated == 0)
+        fraction = Fraction(best, len(theory.maximal_joints))
+        assert _support_search(theory, SEARCH_CAP) == (models, fraction)
+        assert _support_search(theory, SEARCH_CAP, first_only=True) == (models[:1], fraction)
+        assert _support_search(theory, SEARCH_CAP, minimize=False) == (models, None)
+        assert search_states(theory) == (list(accepted), fraction)
+
+
+    def test_model_search_counts_no_violations(self, monkeypatch):
+        # search_ncvd needs no minimum, so every branch is cut at its first
+        # violated joint (bound 1) rather than branch-and-bounded
+        bounds = []
+        depth_first = ontology.depth_first
+
+        def recorded(domains, constraints, bound, leaf, cap):
+            bounds.append(bound)
+            return depth_first(domains, constraints, bound, leaf, cap)
+
+        monkeypatch.setattr(ontology, "depth_first", recorded)
+        theory = two_squares_theory()
+        assert search_ncvd(theory) is None
+        assert search_states(theory) == ([], Fraction(1, 6))
+        assert bounds == [1, len(theory.maximal_joints) + 1]
 
 
 class TestScreeningOffByRepresentation:
