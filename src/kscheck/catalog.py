@@ -7,9 +7,9 @@ no floating-point noise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .exact import ComplexMatrix
 from .graph import KSGraph, build_graph
@@ -180,8 +180,7 @@ _BOX_FAMILY = (("color", "size"),)
 _JOINT = frozenset({"color", "size"})
 
 
-@dataclass(frozen=True)
-class BoxFixture:
+class BoxFixture(NamedTuple):
     name: str
     theory: OperationalTheory
     model: OntologicalModel
@@ -341,8 +340,7 @@ def army_theory() -> OperationalTheory:
 # -- registry ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     name: str
     kind: str
     summary: str

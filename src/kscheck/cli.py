@@ -14,7 +14,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 
 from . import catalog as catalog_mod
 from .errors import (
@@ -39,15 +38,37 @@ EXIT_CAP = 5
 EXIT_BAD_ARGUMENT = 6
 
 
-@dataclass
 class Report:
-    command: str
-    inputs: dict
-    verdicts: dict
-    witnesses: list | None = None
-    certificate: dict | None = None
-    timing_s: float = 0.0
-    lines: list[str] = field(default_factory=list)
+    def __init__(
+        self,
+        command: str,
+        inputs: dict,
+        verdicts: dict,
+        witnesses: list | None = None,
+        certificate: dict | None = None,
+        timing_s: float = 0.0,
+        lines: list[str] | None = None,
+    ):
+        self.command = command
+        self.inputs = inputs
+        self.verdicts = verdicts
+        self.witnesses = witnesses
+        self.certificate = certificate
+        self.timing_s = timing_s
+        self.lines = [] if lines is None else lines
+
+    def __repr__(self):
+        return (
+            f"Report(command={self.command!r}, inputs={self.inputs!r}, "
+            f"verdicts={self.verdicts!r}, witnesses={self.witnesses!r}, "
+            f"certificate={self.certificate!r}, timing_s={self.timing_s!r}, "
+            f"lines={self.lines!r})"
+        )
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
 
     def to_dict(self) -> dict:
         return {

@@ -11,11 +11,10 @@ the model and robustness searches in ``ontology`` all run on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from math import prod
 from operator import itemgetter
-from typing import Callable, Collection, Iterable, Sequence
+from typing import Callable, Collection, Iterable, NamedTuple, Sequence
 
 from . import pauli
 from .errors import CapExceededError, InvalidGraphError
@@ -28,13 +27,42 @@ SEARCH_CAP = 24
 ValueAssignment = tuple[int, ...]
 
 
-@dataclass(frozen=True)
 class KSGraph:
     """Labelled operators plus validated hyperedges and their signs."""
 
-    vertices: tuple[tuple[str, PauliString], ...]
-    hyperedges: tuple[tuple[int, ...], ...]
-    edge_signs: tuple[int, ...]
+    def __init__(
+        self,
+        vertices: tuple[tuple[str, PauliString], ...],
+        hyperedges: tuple[tuple[int, ...], ...],
+        edge_signs: tuple[int, ...],
+    ):
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "hyperedges", hyperedges)
+        object.__setattr__(self, "edge_signs", edge_signs)
+
+    def __repr__(self):
+        return (
+            f"KSGraph(vertices={self.vertices!r}, hyperedges={self.hyperedges!r}, "
+            f"edge_signs={self.edge_signs!r})"
+        )
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.vertices, self.hyperedges, self.edge_signs) == (
+            other.vertices,
+            other.hyperedges,
+            other.edge_signs,
+        )
+
+    def __hash__(self):
+        return hash((self.vertices, self.hyperedges, self.edge_signs))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     @property
     def n_vertices(self) -> int:
@@ -64,8 +92,7 @@ class KSGraph:
         raise KeyError(label)
 
 
-@dataclass(frozen=True)
-class ParityCertificate:
+class ParityCertificate(NamedTuple):
     """UNSAT proof by squaring: every vertex has even edge-incidence, so
     the product of all edge constraints is identically +1, while the
     product of the edge signs is -1."""
@@ -81,8 +108,7 @@ class ParityCertificate:
         )
 
 
-@dataclass(frozen=True)
-class TheoremVerdict:
+class TheoremVerdict(NamedTuple):
     satisfiable: bool
     witnesses: tuple[ValueAssignment, ...]
     certificate: ParityCertificate | None

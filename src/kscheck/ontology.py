@@ -17,10 +17,9 @@ latter stops there; ``search_ncvd`` cuts a branch at its first violation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import NotTwoValuedError
 from .graph import SEARCH_CAP, depth_first
@@ -310,14 +309,12 @@ def satisfies_spekkens(
     return (not witnesses, tuple(witnesses))
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     ok: bool
     witnesses: tuple = ()
 
 
-@dataclass(frozen=True)
-class ModelVerdict:
+class ModelVerdict(NamedTuple):
     value_definite: Check
     noncontextual: Check
     factorizing: Check

@@ -10,10 +10,9 @@ may additionally store their own sub-joint tables, which is exactly what
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import InvalidGraphError, MarginalAmbiguityError
 from .quantum import DensityOperator, joint_distribution
@@ -30,19 +29,34 @@ SUPPORT_TOL = 1e-12
 Joint = frozenset[str]
 
 
-@dataclass(frozen=True)
 class Measurement:
     """A basic measurement with labelled, numerically valued outcomes."""
 
-    label: str
-    outcomes: tuple[tuple[str, int | float | Fraction], ...]
-
-    def __post_init__(self):
-        if len(self.outcomes) < 2:
-            raise ValueError(f"measurement {self.label}: needs at least two outcomes")
-        labels = [name for name, _ in self.outcomes]
+    def __init__(self, label: str, outcomes: tuple[tuple[str, int | float | Fraction], ...]):
+        if len(outcomes) < 2:
+            raise ValueError(f"measurement {label}: needs at least two outcomes")
+        labels = [name for name, _ in outcomes]
         if len(set(labels)) != len(labels):
-            raise ValueError(f"measurement {self.label}: outcome labels must be distinct")
+            raise ValueError(f"measurement {label}: outcome labels must be distinct")
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "outcomes", outcomes)
+
+    def __repr__(self):
+        return f"Measurement(label={self.label!r}, outcomes={self.outcomes!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.label, self.outcomes) == (other.label, other.outcomes)
+
+    def __hash__(self):
+        return hash((self.label, self.outcomes))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     @property
     def outcome_labels(self) -> tuple[str, ...]:
@@ -242,8 +256,7 @@ def marginal(
     return values[0][1]
 
 
-@dataclass(frozen=True)
-class DisturbanceWitness:
+class DisturbanceWitness(NamedTuple):
     sub_joint: tuple[str, ...]
     source_a: tuple[str, ...]
     source_b: tuple[str, ...]

@@ -13,7 +13,6 @@ and the Pauli expansion and are not on any verdict path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterable, NamedTuple, Sequence
@@ -29,14 +28,28 @@ LETTERS = "IXYZ"
 _PHASE_STR = {0: "+", 1: "+i", 2: "-", 3: "-i"}
 
 
-@dataclass(frozen=True)
 class Phase:
     """A global phase i**power with power in {0, 1, 2, 3}."""
 
-    power: int
+    def __init__(self, power: int):
+        object.__setattr__(self, "power", power % 4)
 
-    def __post_init__(self):
-        object.__setattr__(self, "power", self.power % 4)
+    def __repr__(self):
+        return f"Phase(power={self.power!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.power == other.power
+
+    def __hash__(self):
+        return hash((self.power,))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def __mul__(self, other: "Phase") -> "Phase":
         return Phase(self.power + other.power)
@@ -112,23 +125,38 @@ SYMPLECTIC_IDENTITY = Symplectic(0, 0, 0)
 _LETTER_BITS = {"I": (0, 0, 0), "X": (1, 0, 0), "Y": (1, 1, 1), "Z": (0, 1, 0)}
 
 
-@dataclass(frozen=True)
 class PauliString:
     """Phase-tracked tensor word over {I, X, Y, Z}."""
 
-    phase: Phase
-    letters: str
-
-    def __post_init__(self):
-        if not self.letters:
+    def __init__(self, phase: Phase, letters: str):
+        if not letters:
             raise ValueError("Pauli word needs at least one qubit")
-        if len(self.letters) > MAX_QUBITS:
+        if len(letters) > MAX_QUBITS:
             raise ValueError(
-                f"{len(self.letters)} qubits exceeds the configured cap of {MAX_QUBITS}"
+                f"{len(letters)} qubits exceeds the configured cap of {MAX_QUBITS}"
             )
-        bad = set(self.letters) - set(LETTERS)
+        bad = set(letters) - set(LETTERS)
         if bad:
             raise ValueError(f"invalid Pauli letters: {sorted(bad)}")
+        object.__setattr__(self, "phase", phase)
+        object.__setattr__(self, "letters", letters)
+
+    def __repr__(self):
+        return f"PauliString(phase={self.phase!r}, letters={self.letters!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.phase, self.letters) == (other.phase, other.letters)
+
+    def __hash__(self):
+        return hash((self.phase, self.letters))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     @classmethod
     def parse(cls, text: str) -> "PauliString":

@@ -29,11 +29,10 @@ stay as the independent oracle the tests check all of this against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from . import graph as ks_graph
 from .exact import ZERO, ComplexMatrix, GaussianRational
@@ -438,8 +437,7 @@ def joint_born_probability(
     return joint_distribution(rho, ops)[outcomes]
 
 
-@dataclass(frozen=True)
-class SupportTable:
+class SupportTable(NamedTuple):
     """Per edge, the outcome tuples whose joint projection is nonzero."""
 
     per_edge: tuple[tuple[tuple[int, ...], ...], ...]

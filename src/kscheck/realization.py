@@ -13,10 +13,9 @@ preparing a common eigenstate of the failing edge), or more (type III).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations, product
 from math import prod
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import BadArgumentError, CapExceededError
 from .graph import SEARCH_CAP, KSGraph, check_cap, depth_first
@@ -27,7 +26,6 @@ SWEEP_POOL_LIMIT = 12
 SWEEP_ASSOC_LIMIT = 2
 
 
-@dataclass
 class Realization:
     """Association of vertices with measurement label sets.
 
@@ -37,9 +35,26 @@ class Realization:
     every singleton.
     """
 
-    assoc: tuple[frozenset[str], ...]
-    comeasurable: frozenset[frozenset[str]]
-    function_tags: dict[tuple[int, str], str] = field(default_factory=dict)
+    def __init__(
+        self,
+        assoc: tuple[frozenset[str], ...],
+        comeasurable: frozenset[frozenset[str]],
+        function_tags: dict[tuple[int, str], str] | None = None,
+    ):
+        self.assoc = assoc
+        self.comeasurable = comeasurable
+        self.function_tags = {} if function_tags is None else function_tags
+
+    def __repr__(self):
+        return (
+            f"Realization(assoc={self.assoc!r}, comeasurable={self.comeasurable!r}, "
+            f"function_tags={self.function_tags!r})"
+        )
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
 
     @classmethod
     def build(
@@ -106,19 +121,47 @@ def edge_represents_simultaneous(
     return (False, None, had_choice)
 
 
-@dataclass(frozen=True)
 class ArgumentType:
     """Classification by how many edges fail to be comeasurable."""
 
-    kind: str  # "I", "II" or "III"
-    non_comeasurable_edges: tuple[int, ...]
-    choice_flagged_edges: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        count = len(self.non_comeasurable_edges)
+    def __init__(
+        self,
+        kind: str,  # "I", "II" or "III"
+        non_comeasurable_edges: tuple[int, ...],
+        choice_flagged_edges: tuple[int, ...] = (),
+    ):
+        count = len(non_comeasurable_edges)
         expected = "I" if count == 0 else ("II" if count == 1 else "III")
-        if self.kind != expected:
-            raise ValueError(f"kind {self.kind} inconsistent with {count} flagged edges")
+        if kind != expected:
+            raise ValueError(f"kind {kind} inconsistent with {count} flagged edges")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "non_comeasurable_edges", non_comeasurable_edges)
+        object.__setattr__(self, "choice_flagged_edges", choice_flagged_edges)
+
+    def __repr__(self):
+        return (
+            f"ArgumentType(kind={self.kind!r}, "
+            f"non_comeasurable_edges={self.non_comeasurable_edges!r}, "
+            f"choice_flagged_edges={self.choice_flagged_edges!r})"
+        )
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.non_comeasurable_edges, self.choice_flagged_edges) == (
+            other.kind,
+            other.non_comeasurable_edges,
+            other.choice_flagged_edges,
+        )
+
+    def __hash__(self):
+        return hash((self.kind, self.non_comeasurable_edges, self.choice_flagged_edges))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def classify_type(graph: KSGraph, realization: Realization) -> ArgumentType:
@@ -140,8 +183,7 @@ def classify_type(graph: KSGraph, realization: Realization) -> ArgumentType:
 # -- the Lemma ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LemmaCheck:
+class LemmaCheck(NamedTuple):
     hyperedge_based: bool
     hyperedge_based_edges: tuple[int, ...]
     all_edges_comeasurable: bool
@@ -260,8 +302,7 @@ def hyperedge_realization(graph: KSGraph, prefix: str = "b") -> Realization:
     return Realization(base.assoc, base.comeasurable, tags)
 
 
-@dataclass(frozen=True)
-class CollapseResult:
+class CollapseResult(NamedTuple):
     realization: Realization
     label: str
     multi_associated: tuple[int, ...]
@@ -310,8 +351,7 @@ def collapse_edge(
 # -- exhaustive Lemma sweep ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(NamedTuple):
     n_realizations: int
     n_hyperedge_based: int
     n_antecedent: int
@@ -455,8 +495,7 @@ def enumerate_lemma_sweep(
 # -- the state-dependent (type II) pipeline -------------------------------------
 
 
-@dataclass(frozen=True)
-class Type2Result:
+class Type2Result(NamedTuple):
     satisfiable: bool
     pinned_edge: int
     pinned_tuple: tuple[int, ...]

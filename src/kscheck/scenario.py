@@ -8,9 +8,7 @@ verdict.  Parse failures carry a JSON path to the offending location.
 
 from __future__ import annotations
 
-import hashlib
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import Any
@@ -24,15 +22,36 @@ from .quantum import DensityOperator
 from .realization import Realization
 
 
-@dataclass
 class Scenario:
-    name: str
-    digest: str
-    graph: KSGraph | None = None
-    states: dict[str, DensityOperator] = field(default_factory=dict)
-    realizations: dict[str, Realization] = field(default_factory=dict)
-    theory: OperationalTheory | None = None
-    models: dict[str, OntologicalModel] = field(default_factory=dict)
+    def __init__(
+        self,
+        name: str,
+        digest: str,
+        graph: KSGraph | None = None,
+        states: dict[str, DensityOperator] | None = None,
+        realizations: dict[str, Realization] | None = None,
+        theory: OperationalTheory | None = None,
+        models: dict[str, OntologicalModel] | None = None,
+    ):
+        self.name = name
+        self.digest = digest
+        self.graph = graph
+        self.states = {} if states is None else states
+        self.realizations = {} if realizations is None else realizations
+        self.theory = theory
+        self.models = {} if models is None else models
+
+    def __repr__(self):
+        return (
+            f"Scenario(name={self.name!r}, digest={self.digest!r}, graph={self.graph!r}, "
+            f"states={self.states!r}, realizations={self.realizations!r}, "
+            f"theory={self.theory!r}, models={self.models!r})"
+        )
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
 
 
 def _fail(message: str, path: str):
@@ -307,14 +326,22 @@ def load_scenario(source: str) -> Scenario:
 
     if source in catalog.builtin_names():
         return builtin_scenario(source)
-    path = Path(source)
-    if not path.exists():
+    try:
+        raw = Path(source).read_bytes()
+    except (FileNotFoundError, NotADirectoryError, ValueError):
+        # ValueError: a path with a NUL byte, which names no file
         _fail(f"no builtin or file named {source!r}", "$")
-    raw = path.read_bytes()
+    except OSError as exc:
+        _fail(f"cannot read {source!r}: {exc.strerror or exc}", "$")
     try:
         doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError and UnicodeDecodeError (bytes that are not UTF-8)
         _fail(f"invalid JSON: {exc}", "$")
+    except RecursionError:
+        _fail("invalid JSON: nested too deeply", "$")
+    import hashlib  # only file inputs hash their bytes; builtins skip the import
+
     return parse_scenario(doc, digest=hashlib.sha256(raw).hexdigest())
 
 

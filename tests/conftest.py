@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from kscheck import catalog
@@ -36,3 +38,27 @@ def ghz_theory_standard():
 @pytest.fixture(scope="session")
 def box_fixtures():
     return (catalog.box_m1(), catalog.box_m2(), catalog.box_m3())
+
+
+@pytest.fixture(params=["directory", "unreadable", "name-too-long", "not-utf8", "too-deep"])
+def unreadable_input(request, tmp_path, monkeypatch):
+    """A path ``load_scenario`` cannot read or decode, and the reason it gives."""
+    if request.param == "directory":
+        return str(tmp_path), "Is a directory"
+    if request.param == "name-too-long":
+        return str(tmp_path / ("a" * 5000)), "File name too long"
+    path = tmp_path / "input.json"
+    if request.param == "unreadable":
+        # file modes do not stop a root user, so the read itself is made to fail
+        path.write_text("{}")
+
+        def refuse(self):
+            raise PermissionError(13, "Permission denied", str(self))
+
+        monkeypatch.setattr(Path, "read_bytes", refuse)
+        return str(path), "Permission denied"
+    if request.param == "not-utf8":
+        path.write_bytes(b"\xff")
+        return str(path), "can't decode byte 0xff"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    return str(path), "nested too deeply"

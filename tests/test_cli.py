@@ -1,5 +1,6 @@
 """CLI verbs, exit codes, JSON round-trips."""
 
+import hashlib
 import json
 import os
 import re
@@ -339,6 +340,14 @@ class TestExitCodesAndDeterminism:
         assert code == 2
         assert "parse error" in err
 
+    def test_unreadable_input_exit_two(self, capsys, unreadable_input):
+        path, reason = unreadable_input
+        code, out, err = run(capsys, "verify", path)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("parse error: $: ")
+        assert reason in err
+
     def test_malformed_realization_blocks_exit_two(self, capsys, tmp_path):
         assoc = {"a": ["a"], "b": ["b"], "c": ["c"]}
         blocks = {
@@ -413,6 +422,38 @@ print(json.dumps([codes, exact_only, "numpy" in sys.modules]))
         assert codes == [0] * 13
         assert exact_only, "numpy was imported on the exact path"
         assert float_loaded, "a vector state should load numpy"
+
+    def test_cold_call_loads_no_code_generation(self, tmp_path):
+        """A built-in verdict loads neither dataclasses, inspect nor hashlib;
+        a file input loads hashlib for its digest."""
+        path = tmp_path / "single-edge.json"
+        path.write_text(json.dumps(SINGLE_EDGE))
+        script = """
+import contextlib, io, json, sys
+before = set(sys.modules)
+from kscheck import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["verify", "peres-mermin", "--json"])
+added = sorted({"dataclasses", "inspect", "hashlib"} & (set(sys.modules) - before))
+from kscheck.scenario import load_scenario
+digest = load_scenario(sys.argv[1]).digest
+print(json.dumps([code, added, "hashlib" in sys.modules, digest]))
+"""
+        src = str(Path(kscheck.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(path)],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        code, added, hashlib_loaded, digest = json.loads(proc.stdout)
+        assert code == 0
+        assert added == [], f"a built-in verdict imported {added}"
+        assert hashlib_loaded, "a file input should load hashlib"
+        assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
 
     def test_invalid_graph_exit_three(self, capsys, tmp_path):
         doc = {

@@ -47,6 +47,13 @@ class TestParsing:
             load_scenario(str(path))
         assert err.value.path == "$"
 
+    def test_unreadable_input_is_a_parse_error(self, unreadable_input):
+        path, reason = unreadable_input
+        with pytest.raises(ScenarioParseError) as err:
+            load_scenario(path)
+        assert err.value.path == "$"
+        assert reason in err.value.reason
+
     def test_bad_operator_text_is_a_parse_error(self):
         doc = {
             "name": "x",
