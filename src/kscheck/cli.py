@@ -379,7 +379,8 @@ def cmd_catalog(args) -> Report:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable report")
-    common.add_argument(
+    searching = argparse.ArgumentParser(add_help=False, parents=[common])
+    searching.add_argument(
         "--cap",
         type=int,
         default=SEARCH_CAP,
@@ -392,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("verify", parents=[common], help="value-assignment search")
+    p = sub.add_parser("verify", parents=[searching], help="value-assignment search")
     p.add_argument("scenario", help="builtin name or scenario file")
     p.set_defaults(func=cmd_verify)
 
@@ -402,13 +403,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser(
-        "search-model", parents=[common], help="noncontextual value-definite model search"
+        "search-model", parents=[searching], help="noncontextual value-definite model search"
     )
     p.add_argument("scenario")
     p.add_argument("--realization", default=None)
     p.set_defaults(func=cmd_search_model)
 
-    p = sub.add_parser("ghz", parents=[common], help="state-dependent type II pipeline")
+    p = sub.add_parser("ghz", parents=[searching], help="state-dependent type II pipeline")
     p.add_argument("scenario")
     p.add_argument("--realization", default="standard")
     p.add_argument("--tuple", default=None, help="pinned eigenvalue tuple, e.g. +1,+1,+1,-1")
@@ -416,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ghz)
 
     p = sub.add_parser(
-        "robustness", parents=[common], help="minimum support-violation fraction"
+        "robustness", parents=[searching], help="minimum support-violation fraction"
     )
     p.add_argument("scenario")
     p.add_argument("--realization", default=None)

@@ -114,20 +114,39 @@ class TheoremVerdict(NamedTuple):
     certificate: ParityCertificate | None
 
 
-def _maximal_cliques(adjacency: list[set[int]]) -> list[frozenset[int]]:
-    """Bron-Kerbosch without pivoting; fine for the graphs in scope."""
-    cliques: list[frozenset[int]] = []
+def _bits(mask: int):
+    """The set bit positions of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
-    def extend(clique: set[int], candidates: set[int], excluded: set[int]):
-        if not candidates and not excluded:
-            cliques.append(frozenset(clique))
+
+def _maximal_cliques(adjacency: Sequence[int]) -> list[int]:
+    """Maximal cliques as vertex masks, by Bron-Kerbosch with Tomita pivoting.
+
+    ``adjacency[v]`` is the mask of v's neighbours, v excluded.  The pivot is
+    the vertex of candidates | excluded with the most candidate neighbours;
+    only candidates outside its neighbourhood start a branch, since every
+    maximal clique holds the pivot or a vertex it is not adjacent to
+    (Tomita, Tanaka and Takahashi, TCS 363, 2006).
+    """
+    cliques: list[int] = []
+
+    def extend(clique: int, candidates: int, excluded: int):
+        if not candidates:
+            if not excluded:
+                cliques.append(clique)
             return
-        for v in sorted(candidates):
-            extend(clique | {v}, candidates & adjacency[v], excluded & adjacency[v])
-            candidates = candidates - {v}
-            excluded = excluded | {v}
+        pivot = max(
+            _bits(candidates | excluded), key=lambda u: (candidates & adjacency[u]).bit_count()
+        )
+        for v in _bits(candidates & ~adjacency[pivot]):
+            extend(clique | 1 << v, candidates & adjacency[v], excluded & adjacency[v])
+            candidates &= ~(1 << v)
+            excluded |= 1 << v
 
-    extend(set(), set(range(len(adjacency))), set())
+    extend(0, (1 << len(adjacency)) - 1, 0)
     return cliques
 
 
@@ -142,19 +161,13 @@ def derive_hyperedges(operators: Sequence[PauliString]) -> tuple[tuple[int, ...]
     ops = list(operators)
     if len(ops) < 2:
         raise ValueError("need at least two operators")
-    n = ops[0].n_qubits
-    for op in ops[1:]:
-        if op.n_qubits != n:
-            raise ValueError("operators must act on the same number of qubits")
-    adjacency = [
-        {j for j in range(len(ops)) if j != i and ops[i].commutes(ops[j])}
-        for i in range(len(ops))
-    ]
+    masks = pauli.commutation_masks(ops)
+    adjacency = [mask & ~(1 << v) for v, mask in enumerate(masks)]
     edges = []
     for clique in _maximal_cliques(adjacency):
-        if len(clique) < 2:
+        members = tuple(_bits(clique))
+        if len(members) < 2:
             continue
-        members = tuple(sorted(clique))
         try:
             pauli.edge_product([ops[v] for v in members])
         except ValueError:
@@ -188,8 +201,10 @@ def build_graph(
     for label, op in parsed:
         if op.n_qubits != n:
             raise InvalidGraphError(f"vertex {label}: expected {n} qubits")
-        if not op.is_hermitian:
-            raise InvalidGraphError(f"vertex {label}: operator {op} is not hermitian")
+        try:
+            pauli.check_two_valued(op)
+        except ValueError as exc:
+            raise InvalidGraphError(f"vertex {label}: {exc}") from exc
 
     if hyperedges is None:
         try:

@@ -15,6 +15,7 @@ from itertools import product
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import InvalidGraphError, MarginalAmbiguityError
+from .pauli import check_commuting
 from .quantum import DensityOperator, joint_distribution
 
 if TYPE_CHECKING:
@@ -382,19 +383,9 @@ def from_quantum(
     if len(set(labels)) != n:
         raise InvalidGraphError("from_quantum needs distinct measurements per vertex")
     operator_of = {labels[v]: graph.vertices[v][1] for v in range(n)}
-
-    for members in realization.comeasurable:
-        unknown = [label for label in members if label not in operator_of]
-        if unknown:
-            raise InvalidGraphError(f"comeasurable set names unrealized labels {unknown}")
-        ops = [operator_of[label] for label in members]
-        for i in range(len(ops)):
-            for j in range(i + 1, len(ops)):
-                if not ops[i].commutes(ops[j]):
-                    raise InvalidGraphError(
-                        "comeasurable set maps to non-commuting operators "
-                        f"({', '.join(sorted(members))}); no quantum representation"
-                    )
+    unknown = sorted(set().union(*realization.comeasurable) - operator_of.keys())
+    if unknown:
+        raise InvalidGraphError(f"comeasurable set names unrealized labels {unknown}")
 
     basics = [Measurement(label, _PAULI_OUTCOMES) for label in labels]
     order = {label: i for i, label in enumerate(labels)}
@@ -403,10 +394,18 @@ def from_quantum(
         key=lambda j: tuple(sorted(order[label] for label in j)),
     )
 
+    # every subset of a commuting set commutes, so the maximal sets suffice
     tables: dict[Joint, dict[str, dict[tuple[str, ...], object]]] = {}
     for joint in maximal:
         members = sorted(joint, key=order.get)
         ops = tuple(operator_of[label] for label in members)
+        try:
+            check_commuting(ops)
+        except ValueError as exc:
+            raise InvalidGraphError(
+                "comeasurable set maps to non-commuting operators "
+                f"({', '.join(members)}: {exc}); no quantum representation"
+            ) from exc
         # joint_distribution lists the ±1 tuples in this same product order
         combos = list(product((OUTCOME_PLUS, OUTCOME_MINUS), repeat=len(members)))
         tables[frozenset(joint)] = {

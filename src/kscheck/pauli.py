@@ -1,14 +1,13 @@
-"""Phase-tracked Pauli words, their symplectic form and a dense oracle.
+"""Phase-tracked Pauli words, their one algebra (symplectic masks) and a dense oracle.
 
-A Pauli word is a global phase in {+1, -1, +i, -i} together with a letter
-per qubit from {I, X, Y, Z}.  Products, commutation and signed-identity
-checks are done symbolically.  ``PauliString.symplectic`` gives the word
-as an x mask, a z mask and an i-power (Aaronson and Gottesman, PRA 70,
-052328, 2004): the word is a signed permutation matrix with one nonzero
-per column, P[c ^ x][c] = i**power * (-1)**popcount(c & z), which is what
-the Born-rule layer works from.  ``to_matrix`` and ``spectral_projection``
-build the exact dense Q[i] matrices; they cross-check the symbolic algebra
-and the Pauli expansion and are not on any verdict path.
+A word is stored and printed as a phase in {+1, -1, +i, -i} and a letter
+per qubit from {I, X, Y, Z}; the letters are storage and text only.  The
+algebra is ``PauliString.symplectic``, an x mask, a z mask and an i-power
+(Aaronson and Gottesman, PRA 70, 052328, 2004): products, commutation,
+signed identities, the shared checks below, and the Born-rule sweeps,
+which read the word as P[c ^ x][c] = i**power * (-1)**popcount(c & z).
+``to_matrix`` and ``spectral_projection`` build the exact dense Q[i]
+matrices; they cross-check the masks and are not on any verdict path.
 """
 
 from __future__ import annotations
@@ -75,26 +74,6 @@ class Phase:
 PLUS = Phase(0)
 
 
-def _single_product(a: str, b: str) -> tuple[int, str]:
-    """Product of two single-qubit letters as (i-power, letter)."""
-    if a == "I":
-        return 0, b
-    if b == "I":
-        return 0, a
-    if a == b:
-        return 0, "I"
-    # cyclic: XY = iZ, YZ = iX, ZX = iY; swapped order picks up -i
-    cyc = "XYZ"
-    ia, ib = cyc.index(a), cyc.index(b)
-    c = cyc[3 - ia - ib]
-    return (1, c) if (ib - ia) % 3 == 1 else (3, c)
-
-
-_PRODUCT_TABLE = {
-    (a, b): _single_product(a, b) for a in LETTERS for b in LETTERS
-}
-
-
 class Symplectic(NamedTuple):
     """A Pauli word as bitmasks: P[c ^ x][c] = i**power * (-1)**popcount(c & z).
 
@@ -117,6 +96,10 @@ class Symplectic(NamedTuple):
     @property
     def is_scalar(self) -> bool:
         return not (self.x or self.z)
+
+    def commutes(self, other: "Symplectic") -> bool:
+        # the two orders differ by (-1)**(popcount(x1 & z2) + popcount(z1 & x2))
+        return ((self.x & other.z).bit_count() + (self.z & other.x).bit_count()) % 2 == 0
 
 
 SYMPLECTIC_IDENTITY = Symplectic(0, 0, 0)
@@ -206,32 +189,66 @@ class PauliString:
     def __mul__(self, other: "PauliString") -> "PauliString":
         if not isinstance(other, PauliString):
             return NotImplemented
-        if self.n_qubits != other.n_qubits:
-            raise ValueError(
-                f"length mismatch: {self.n_qubits} vs {other.n_qubits} qubits"
-            )
-        power = self.phase.power + other.phase.power
-        out = []
-        for a, b in zip(self.letters, other.letters):
-            p, c = _PRODUCT_TABLE[(a, b)]
-            power += p
-            out.append(c)
-        return PauliString(Phase(power), "".join(out))
+        _check_lengths((self, other))
+        return _from_symplectic(self.symplectic * other.symplectic, self.n_qubits)
 
     def commutes(self, other: "PauliString") -> bool:
-        if self.n_qubits != other.n_qubits:
-            raise ValueError(
-                f"length mismatch: {self.n_qubits} vs {other.n_qubits} qubits"
-            )
-        conflicts = sum(
-            1
-            for a, b in zip(self.letters, other.letters)
-            if a != "I" and b != "I" and a != b
-        )
-        return conflicts % 2 == 0
+        _check_lengths((self, other))
+        return self.symplectic.commutes(other.symplectic)
 
     def __str__(self):
         return f"{self.phase}{self.letters}"
+
+
+def _from_symplectic(word: Symplectic, n_qubits: int) -> PauliString:
+    """The n-qubit word with these masks; each Y gives back its i, as XZ = -iY."""
+    letters = "".join(
+        "IZXY"[2 * (word.x >> k & 1) + (word.z >> k & 1)] for k in reversed(range(n_qubits))
+    )
+    return PauliString(Phase(word.power - (word.x & word.z).bit_count()), letters)
+
+
+def _check_lengths(ops: Sequence[PauliString]) -> None:
+    n = ops[0].n_qubits
+    for op in ops[1:]:
+        if op.n_qubits != n:
+            raise ValueError(f"length mismatch: {n} vs {op.n_qubits} qubits")
+
+
+def check_two_valued(op: PauliString) -> None:
+    """Raise ValueError unless op is hermitian and not ±I, so that it has
+    both eigenvalues +1 and -1."""
+    if not op.is_hermitian or op.is_identity_word:
+        raise ValueError(f"{op} is not a two-valued hermitian observable")
+
+
+def check_commuting(ops: Sequence[PauliString]) -> None:
+    """Raise ValueError naming the first pair of ops that does not commute."""
+    _check_lengths(ops)
+    words = [op.symplectic for op in ops]
+    for i, word in enumerate(words):
+        for j in range(i + 1, len(words)):
+            if not word.commutes(words[j]):
+                raise ValueError(f"{ops[i]} and {ops[j]} do not commute")
+
+
+def commutation_masks(ops: Sequence[PauliString]) -> list[int]:
+    """Bit j of entry i is set iff ops[i] and ops[j] commute (bit i always is)."""
+    _check_lengths(ops)
+    words = [op.symplectic for op in ops]
+    return [sum(1 << j for j, other in enumerate(words) if word.commutes(other)) for word in words]
+
+
+def all_commute(masks: Sequence[int], members: int) -> bool:
+    """True iff the words at the set bits of members commute pairwise, read
+    from a ``commutation_masks`` table."""
+    rest = members
+    while rest:
+        low = rest & -rest
+        if members & ~masks[low.bit_length() - 1]:
+            return False
+        rest ^= low
+    return True
 
 
 def multiply(a: PauliString, b: PauliString) -> PauliString:
@@ -240,7 +257,7 @@ def multiply(a: PauliString, b: PauliString) -> PauliString:
 
 
 def commutes(a: PauliString, b: PauliString) -> bool:
-    """True iff a*b == b*a; even number of conflicting non-identity slots."""
+    """True iff a*b == b*a; see ``Symplectic.commutes``."""
     return a.commutes(b)
 
 
@@ -277,10 +294,7 @@ def spectral_projection(p: PauliString, eigenvalue: int) -> ComplexMatrix:
     """
     if eigenvalue not in (1, -1):
         raise ValueError(f"eigenvalue must be +1 or -1, got {eigenvalue!r}")
-    if not p.is_hermitian:
-        raise ValueError(f"{p} is not hermitian (imaginary phase)")
-    if p.is_identity_word:
-        raise ValueError("identity word is not a two-valued observable")
+    check_two_valued(p)
     m = to_matrix(p)
     if eigenvalue == -1:
         m = -m
@@ -297,17 +311,12 @@ def edge_product(ops: Sequence[PauliString] | Iterable[PauliString]) -> int:
     ops = tuple(ops)
     if not ops:
         raise ValueError("edge_product needs at least one operator")
-    n = ops[0].n_qubits
-    for op in ops[1:]:
-        if op.n_qubits != n:
-            raise ValueError(f"length mismatch: {n} vs {op.n_qubits} qubits")
-    for i in range(len(ops)):
-        for j in range(i + 1, len(ops)):
-            if not ops[i].commutes(ops[j]):
-                raise ValueError(f"{ops[i]} and {ops[j]} do not commute")
-    prod = ops[0]
-    for op in ops[1:]:
-        prod = prod * op
-    if not prod.is_identity_word or not prod.phase.is_real:
-        raise ValueError(f"product {prod} is not a signed identity")
-    return 1 if prod.phase.power == 0 else -1
+    check_commuting(ops)
+    product = SYMPLECTIC_IDENTITY
+    for op in ops:
+        product = product * op.symplectic
+    if not product.is_scalar or product.power % 2:
+        raise ValueError(
+            f"product {_from_symplectic(product, ops[0].n_qubits)} is not a signed identity"
+        )
+    return 1 - product.power

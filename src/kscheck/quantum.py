@@ -36,7 +36,14 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from . import graph as ks_graph
 from .exact import ZERO, ComplexMatrix, GaussianRational
-from .pauli import SYMPLECTIC_IDENTITY, PauliString, Symplectic, spectral_projection
+from .pauli import (
+    SYMPLECTIC_IDENTITY,
+    PauliString,
+    Symplectic,
+    check_commuting,
+    check_two_valued,
+    spectral_projection,
+)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -51,13 +58,14 @@ class DensityOperator:
 
     Exact states (``from_exact``, ``from_projection``, ``from_eigenspace``,
     ``maximally_mixed``) are validated exactly and keep their integer
-    numerators for the Born sweeps; ``matrix``, their floating-point copy,
-    is built (and numpy imported) on first access.  Float states
+    numerators for the Born sweeps; ``exact``, their Q[i] matrix, and
+    ``matrix``, their floating-point copy, are built from those on first
+    access (numpy is imported for ``matrix`` only).  Float states
     (``DensityOperator(matrix)``, ``from_state_vector``) are checked within
-    the tolerances below.
+    the tolerances below, and their ``exact`` is None.
     """
 
-    __slots__ = ("exact", "dim", "_matrix", "_by_shift")
+    __slots__ = ("dim", "_is_exact", "_exact", "_matrix", "_by_shift")
 
     def __init__(self, matrix: np.ndarray):
         import numpy as np
@@ -75,9 +83,24 @@ class DensityOperator:
                 f"density operator not positive semidefinite (min eigenvalue {eigenvalues.min():.3g})"
             )
         self._matrix = matrix
-        self.exact = None
+        self._is_exact = False
+        self._exact = None
         self.dim = matrix.shape[0]
         self._by_shift = None
+
+    @property
+    def exact(self) -> ComplexMatrix | None:
+        """The state as an exact Q[i] matrix, or None for a float state."""
+        if self._exact is None and self._is_exact:
+            by_shift, denominator = self._by_shift
+            rows = [[ZERO] * self.dim for _ in range(self.dim)]
+            for shift, entries in by_shift.items():
+                for r, a, b in entries:
+                    rows[r][r ^ shift] = GaussianRational(
+                        Fraction(a, denominator), Fraction(b, denominator)
+                    )
+            self._exact = ComplexMatrix(rows)
+        return self._exact
 
     @property
     def matrix(self) -> np.ndarray:
@@ -97,7 +120,7 @@ class DensityOperator:
         denominator = math.lcm(*(f.denominator for _, v in cells for f in (v.re, v.im)))
         re = {key: v.re.numerator * (denominator // v.re.denominator) for key, v in cells if v.re}
         im = {key: v.im.numerator * (denominator // v.im.denominator) for key, v in cells if v.im}
-        return cls._from_numerators(re, im, exact.dim, denominator, exact)
+        return cls._from_numerators(re, im, exact.dim, denominator)
 
     @classmethod
     def from_state_vector(cls, amplitudes: Sequence[complex]) -> "DensityOperator":
@@ -139,30 +162,22 @@ class DensityOperator:
 
     @classmethod
     def _from_numerators(
-        cls,
-        re: dict[int, int],
-        im: dict[int, int],
-        dim: int,
-        denominator: int,
-        exact: ComplexMatrix | None = None,
+        cls, re: dict[int, int], im: dict[int, int], dim: int, denominator: int
     ) -> "DensityOperator":
         """The exact state with entries (re + i im) / denominator, keyed r * dim + c.
 
         Every exact state is made here: the integers are validated exactly
-        and grouped into the sweep table, and ``exact`` is built from them
-        unless the caller already has it.
+        and grouped into the sweep table, from which ``exact`` is built on
+        first read.
         """
         _check_exact_state(re, im, dim, denominator)
-        rows = [[ZERO] * dim for _ in range(dim)] if exact is None else None
         by_shift: dict[int, list[tuple]] = {}
         for key in sorted(re.keys() | im.keys()):
             r, c = divmod(key, dim)
-            a, b = re.get(key, 0), im.get(key, 0)
-            by_shift.setdefault(r ^ c, []).append((r, a, b))
-            if rows is not None:
-                rows[r][c] = GaussianRational(Fraction(a, denominator), Fraction(b, denominator))
+            by_shift.setdefault(r ^ c, []).append((r, re.get(key, 0), im.get(key, 0)))
         rho = cls.__new__(cls)
-        rho.exact = exact if rows is None else ComplexMatrix(rows)
+        rho._is_exact = True
+        rho._exact = None
         rho.dim = dim
         rho._matrix = None
         rho._by_shift = (by_shift, denominator)
@@ -251,20 +266,6 @@ def _is_positive_semidefinite(re: dict[int, int], im: dict[int, int], dim: int) 
     return True
 
 
-def _check_observable(p: PauliString, dim: int):
-    if not p.is_hermitian or p.is_identity_word:
-        raise ValueError(f"{p} is not a two-valued hermitian observable")
-    if 2**p.n_qubits != dim:
-        raise ValueError(f"dimension mismatch: state dim {dim}, operator dim {2**p.n_qubits}")
-
-
-def _check_commuting(ops: Sequence[PauliString]):
-    for i in range(len(ops)):
-        for j in range(i + 1, len(ops)):
-            if not ops[i].commutes(ops[j]):
-                raise ValueError(f"{ops[i]} and {ops[j]} do not commute")
-
-
 def _check_eigenvalue(eigenvalue):
     if eigenvalue not in (1, -1):
         raise ValueError(f"eigenvalue must be +1 or -1, got {eigenvalue!r}")
@@ -280,9 +281,8 @@ def _subset_products(ops: tuple[PauliString, ...]) -> tuple[Symplectic, ...]:
     if not ops:
         raise ValueError("need at least one operator")
     for op in ops:
-        if not op.is_hermitian or op.is_identity_word:
-            raise ValueError(f"{op} is not a two-valued hermitian observable")
-    _check_commuting(ops)
+        check_two_valued(op)
+    check_commuting(ops)
     products = [SYMPLECTIC_IDENTITY]
     for op in ops:
         word = op.symplectic
@@ -367,12 +367,15 @@ def joint_distribution(rho: DensityOperator, ops: Sequence[PauliString]) -> dict
     when the state is exact and a float otherwise.
     """
     ops = tuple(ops)
-    for op in ops:
-        _check_observable(op, rho.dim)
+    products = _subset_products(ops)
+    if 2 ** ops[0].n_qubits != rho.dim:
+        raise ValueError(
+            f"dimension mismatch: state dim {rho.dim}, operator dim {2 ** ops[0].n_qubits}"
+        )
     entries, denominator = rho._entries_by_shift()
-    exact = rho.exact is not None
+    exact = rho._is_exact
     traces = []
-    for word in _subset_products(ops):
+    for word in products:
         re = im = 0
         for c, a, b in entries.get(word.x, ()):
             if (c & word.z).bit_count() % 2:
@@ -397,7 +400,6 @@ def joint_distribution(rho: DensityOperator, ops: Sequence[PauliString]) -> dict
 
 def born_probability(rho: DensityOperator, p: PauliString, eigenvalue: int):
     """Tr(rho * P_eigenvalue); a Fraction when the state is exact."""
-    _check_observable(p, rho.dim)
     _check_eigenvalue(eigenvalue)
     return joint_distribution(rho, (p,))[(eigenvalue,)]
 
@@ -413,7 +415,7 @@ def joint_projection(
     """
     if len(ops) != len(outcomes):
         raise ValueError("one outcome per operator required")
-    _check_commuting(ops)
+    check_commuting(ops)
     result = spectral_projection(ops[0], outcomes[0])
     for op, outcome in zip(ops[1:], outcomes[1:]):
         result = result @ spectral_projection(op, outcome)
@@ -428,8 +430,6 @@ def joint_born_probability(
     """Tr(rho * prod_i P_i^{outcome_i}) for mutually commuting operators."""
     ops = tuple(ops)
     outcomes = tuple(outcomes)
-    for op in ops:
-        _check_observable(op, rho.dim)
     if len(ops) != len(outcomes):
         raise ValueError("one outcome per operator required")
     for eigenvalue in outcomes:
@@ -453,10 +453,12 @@ class SupportTable(NamedTuple):
 def support_table(graph: ks_graph.KSGraph) -> SupportTable:
     """State-independent support of every edge, decided exactly.
 
-    A tuple is possible iff the trace of its joint projection is nonzero.
-    For a valid hyperedge this equals the admissible tuples: the joint
-    projection of a tuple vanishes identically iff the tuple's product
-    disagrees with the edge sign.
+    A tuple is possible iff the trace of its joint projection is nonzero,
+    that is iff on every subset of the edge whose product is ±I its values
+    multiply to that sign.  The whole edge gives the admissibility rule, so
+    the support is the admissible tuples exactly when no proper nonempty
+    subset of the edge multiplies to ±I.  Otherwise it is smaller: the edge
+    {ZI, ZI, IZ, IZ} has 8 admissible tuples and 4 supported ones.
     """
     per_edge = []
     for e_idx in range(len(graph.hyperedges)):
@@ -484,13 +486,12 @@ def common_eigenbasis(
     if not ops:
         raise ValueError("need at least one operator")
     # mutual commutation is what makes the refinement products projections
-    _check_commuting(ops)
+    check_commuting(ops)
     dim = 2 ** ops[0].n_qubits
     branches: list[tuple[ComplexMatrix, tuple[int, ...]]] = [
         (ComplexMatrix.identity(dim), ())
     ]
     for op in ops:
-        _check_observable(op, dim)
         refined = []
         for projection, outcomes in branches:
             for eigenvalue in (1, -1):
@@ -523,6 +524,6 @@ def is_operational_eigenstate(
     Exactly for an exact state; within tol for a float state.
     """
     probabilities = joint_distribution(rho, ops).values()
-    if rho.exact is not None:
+    if rho._is_exact:
         return all(p == 0 or p == 1 for p in probabilities)
     return all(min(abs(p), abs(p - 1)) <= tol for p in probabilities)

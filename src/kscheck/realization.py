@@ -13,13 +13,14 @@ preparing a common eigenstate of the failing edge), or more (type III).
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import product
 from math import prod
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import BadArgumentError, CapExceededError
 from .graph import SEARCH_CAP, KSGraph, check_cap, depth_first
 from .operational import OUTCOME_MINUS, OUTCOME_PLUS, _close_family, _family_support, from_quantum
+from .pauli import all_commute, commutation_masks
 from .quantum import DensityOperator, born_probability, is_operational_eigenstate
 
 SWEEP_POOL_LIMIT = 12
@@ -247,42 +248,27 @@ def commuting_realization(
     labels = sorted(set().union(*normalized))
     if len(labels) > 16:
         raise CapExceededError("commuting family materialization capped at 16 labels")
-    realized: dict[str, frozenset[int]] = {
-        label: frozenset(
-            v for v, a in enumerate(normalized) if label in a
-        )
-        for label in labels
+    # label -> mask of the vertices it realizes
+    realized = {
+        label: sum(1 << v for v, a in enumerate(normalized) if label in a) for label in labels
     }
-    ops = graph.operators
-
-    def vertex_set_commutes(vertices: frozenset[int]) -> bool:
-        items = sorted(vertices)
-        return all(
-            ops[a].commutes(ops[b]) for a, b in combinations(items, 2)
-        )
-
+    masks = commutation_masks(graph.operators)
     for label, vertices in realized.items():
-        if not vertex_set_commutes(vertices):
-            raise ValueError(
-                f"measurement {label} realizes non-commuting vertices {sorted(vertices)}"
-            )
+        if not all_commute(masks, vertices):
+            members = [v for v in range(len(normalized)) if vertices >> v & 1]
+            raise ValueError(f"measurement {label} realizes non-commuting vertices {members}")
 
+    # each level: the label sets one larger, with the union of their vertices
+    level = [(frozenset({label}), realized[label]) for label in labels]
     family: list[frozenset[str]] = []
-    level = [frozenset({label}) for label in labels]
-    family.extend(level)
     while level:
-        nxt = []
-        for members in level:
-            last = max(members)
-            for label in labels:
-                if label <= last:
-                    continue
-                candidate = members | {label}
-                union = frozenset().union(*(realized[m] for m in candidate))
-                if vertex_set_commutes(union):
-                    nxt.append(candidate)
-        family.extend(nxt)
-        level = nxt
+        family.extend(members for members, _ in level)
+        level = [
+            (members | {label}, union | realized[label])
+            for members, union in level
+            for label in labels
+            if label > max(members) and all_commute(masks, union | realized[label])
+        ]
     return Realization.build(normalized, family)
 
 
@@ -390,25 +376,7 @@ def enumerate_lemma_sweep(
     if n > 12 or len(edges) > 10:
         raise CapExceededError("lemma sweep is sized for PM-scale graphs")
 
-    ops = graph.operators
-    commute_mask = []
-    for v in range(n):
-        mask = 1 << v
-        for u in range(n):
-            if u != v and ops[v].commutes(ops[u]):
-                mask |= 1 << u
-        commute_mask.append(mask)
-
-    def mutually_commuting(mask: int) -> bool:
-        rest = mask
-        while rest:
-            low = rest & -rest
-            v = low.bit_length() - 1
-            if mask & ~commute_mask[v]:
-                return False
-            rest ^= low
-        return True
-
+    masks = commutation_masks(graph.operators)
     edge_masks = [sum(1 << v for v in edge) for edge in edges]
 
     n_realizations = 0
@@ -464,7 +432,7 @@ def enumerate_lemma_sweep(
                     union = 0
                     for m_idx in set(selection):
                         union |= meas_masks[m_idx]
-                    if mutually_commuting(union):
+                    if all_commute(masks, union):
                         edge_ok = True
                         break
                 if not edge_ok:

@@ -58,6 +58,13 @@ def _fail(message: str, path: str):
     raise ScenarioParseError(message, path)
 
 
+def _expect(value: Any, kind: type, what: str, path: str):
+    """The value, which must be a JSON list or object (``kind`` list or dict)."""
+    if not isinstance(value, kind):
+        _fail(f"{what} must be {'a list' if kind is list else 'an object'}", path)
+    return value
+
+
 def _number(value: Any, path: str):
     """A probability-like value: int, float, or exact 'p/q' string."""
     if isinstance(value, bool):
@@ -209,8 +216,9 @@ def _parse_theory(doc: Any, path: str) -> OperationalTheory:
         mpath = f"{path}.measurements[{i}]"
         if not isinstance(item, dict) or "label" not in item or "outcomes" not in item:
             _fail("measurement needs 'label' and 'outcomes'", mpath)
+        raw = _expect(item["outcomes"], list, "'outcomes'", f"{mpath}.outcomes")
         outcomes = []
-        for j, pair in enumerate(item["outcomes"]):
+        for j, pair in enumerate(raw):
             opath = f"{mpath}.outcomes[{j}]"
             if not isinstance(pair, list) or len(pair) != 2:
                 _fail("outcome must be a [label, value] pair", opath)
@@ -231,10 +239,12 @@ def _parse_theory(doc: Any, path: str) -> OperationalTheory:
         epath = f"{path}.entries[{i}]"
         if not isinstance(item, dict) or not {"measurements", "preparation", "distribution"} <= set(item):
             _fail("entry needs 'measurements', 'preparation', 'distribution'", epath)
-        joint = frozenset(map(str, item["measurements"]))
+        raw = _expect(item["measurements"], list, "'measurements'", f"{epath}.measurements")
+        joint = frozenset(map(str, raw))
         order = [m.label for m in basics if m.label in joint]
         dist = {}
-        for key, value in item["distribution"].items():
+        raw = _expect(item["distribution"], dict, "'distribution'", f"{epath}.distribution")
+        for key, value in raw.items():
             combo = tuple(key.split(","))
             if len(combo) != len(order):
                 _fail(
@@ -256,22 +266,25 @@ def _parse_model(doc: Any, theory: OperationalTheory, path: str) -> OntologicalM
     ontic = doc.get("ontic_states")
     if not isinstance(ontic, list) or not ontic:
         _fail("'ontic_states' must be a nonempty list", f"{path}.ontic_states")
-    preps_doc = doc.get("preparations", {})
+    ppath = f"{path}.preparations"
     preps = {}
-    for prep, dist in preps_doc.items():
+    for prep, dist in _expect(doc.get("preparations", {}), dict, "'preparations'", ppath).items():
         preps[str(prep)] = {
-            str(lam): _number(v, f"{path}.preparations.{prep}.{lam}")
-            for lam, v in dist.items()
+            str(lam): _number(v, f"{ppath}.{prep}.{lam}")
+            for lam, v in _expect(dist, dict, "a preparation", f"{ppath}.{prep}").items()
         }
     responses = {}
-    for i, item in enumerate(doc.get("responses", [])):
+    raw_responses = _expect(doc.get("responses", []), list, "'responses'", f"{path}.responses")
+    for i, item in enumerate(raw_responses):
         rpath = f"{path}.responses[{i}]"
         if not isinstance(item, dict) or not {"measurements", "ontic", "distribution"} <= set(item):
             _fail("response needs 'measurements', 'ontic', 'distribution'", rpath)
-        joint = frozenset(map(str, item["measurements"]))
+        raw = _expect(item["measurements"], list, "'measurements'", f"{rpath}.measurements")
+        joint = frozenset(map(str, raw))
+        raw = _expect(item["distribution"], dict, "'distribution'", f"{rpath}.distribution")
         dist = {
             tuple(key.split(",")): _number(v, f"{rpath}.distribution.{key}")
-            for key, v in item["distribution"].items()
+            for key, v in raw.items()
         }
         responses[(joint, str(item["ontic"]))] = dist
     comeasurable = [tuple(j) for j in theory.family]

@@ -55,6 +55,22 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def builtin_doc(capsys, name):
+    """The scenario document ``catalog NAME --json`` prints."""
+    code, out, _ = run(capsys, "catalog", name, "--json")
+    assert code == 0
+    return json.loads(out)["verdicts"]["scenario"]
+
+
+def child_env(**extra):
+    src = str(Path(kscheck.__file__).resolve().parents[1])
+    return {
+        **os.environ,
+        "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", ""),
+        **extra,
+    }
+
+
 class TestVerify:
     def test_square_unsat_with_certificate(self, capsys):
         code, out, _ = run(capsys, "verify", "peres-mermin", "--json")
@@ -557,3 +573,89 @@ print(json.dumps([code, added, "hashlib" in sys.modules, digest]))
         with pytest.raises(SystemExit) as exc:
             main(["verify", "peres-mermin", "--seed", "7"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [["classify", "ghz"], ["catalog"], ["catalog", "ghz"]])
+    def test_cap_only_on_verbs_that_search(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--cap", "3"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("verb", ["verify", "classify", "search-model", "ghz", "robustness"])
+    def test_identity_vertex_is_an_invalid_graph(self, capsys, tmp_path, verb):
+        doc = {
+            "name": "identity-vertex",
+            "vertices": [
+                {"label": label, "operator": word}
+                for label, word in zip("abcd", ("+ZI", "+IZ", "+ZZ", "+II"))
+            ],
+            "hyperedges": [[0, 1, 2, 3]],
+            "states": {"mixed": {"density": [[["1/4", "0"] if r == c else 0 for c in range(4)]
+                                             for r in range(4)]}},
+            "realizations": {"r": {"assoc": {label: [label] for label in "abcd"},
+                                   "comeasurable": []}},
+        }
+        path = tmp_path / "identity.json"
+        path.write_text(json.dumps(doc))
+        argv = [verb, str(path)] + (["--realization", "r"] if verb == "ghz" else [])
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert err == "invalid graph: vertex d: +II is not a two-valued hermitian observable\n"
+
+    def test_noncommuting_comeasurable_error_is_deterministic(self, capsys, tmp_path):
+        doc = builtin_doc(capsys, "peres-mermin")
+        doc["realizations"] = {"r": {"assoc": {label: [label] for label in "abcdefghi"},
+                                     "comeasurable": [["a", "b", "c", "e", "f"]]}}
+        path = tmp_path / "pm-noncommuting.json"
+        path.write_text(json.dumps(doc))
+        results = set()
+        for seed in ("0", "5", "11"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "kscheck.cli", "search-model", str(path)],
+                capture_output=True,
+                text=True,
+                env=child_env(PYTHONHASHSEED=seed),
+                timeout=60,
+            )
+            results.add((proc.returncode, proc.stderr))
+        assert len(results) == 1
+        code, err = results.pop()
+        assert code == 3
+        # the one maximal set, in basic-label order, and its first non-commuting pair
+        assert err == (
+            "invalid graph: comeasurable set maps to non-commuting operators "
+            "(a, b, c, e, f: +ZI and +XI do not commute); no quantum representation\n"
+        )
+
+
+def _mutate(doc, path, value):
+    """Set doc at a path of keys and indices to value."""
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+
+
+@pytest.mark.parametrize(
+    "where, value, expected_path",
+    [
+        (("models", "m1", "preparations"), [1], "$.models.m1.preparations"),
+        (("models", "m1", "preparations", "r1"), [1], "$.models.m1.preparations.r1"),
+        (("models", "m1", "responses"), 7, "$.models.m1.responses"),
+        (("models", "m1", "responses", 0, "measurements"), 7,
+         "$.models.m1.responses[0].measurements"),
+        (("models", "m1", "responses", 0, "distribution"), [1],
+         "$.models.m1.responses[0].distribution"),
+        (("tables", "entries", 0, "distribution"), [1], "$.tables.entries[0].distribution"),
+        (("tables", "entries", 0, "measurements"), 7, "$.tables.entries[0].measurements"),
+        (("tables", "measurements", 0, "outcomes"), 7, "$.tables.measurements[0].outcomes"),
+    ],
+)
+def test_mistyped_box_blocks_exit_two(capsys, tmp_path, where, value, expected_path):
+    doc = builtin_doc(capsys, "box-m1")
+    _mutate(doc, where, value)
+    path = tmp_path / "box.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "search-model", str(path))
+    assert code == 2
+    assert out == ""
+    assert f"{expected_path}:" in err

@@ -16,7 +16,7 @@ from kscheck.graph import (
     parity_certificate,
     search_assignments,
 )
-from kscheck.pauli import PauliString
+from kscheck.pauli import LETTERS, PauliString, Phase, to_matrix
 
 P = PauliString.parse
 
@@ -37,6 +37,59 @@ def brute_force_witnesses(graph):
         if ok:
             out.append(combo)
     return out
+
+
+def set_maximal_cliques(adjacency: list[set[int]]) -> list[frozenset[int]]:
+    """Bron-Kerbosch without pivoting, on vertex sets: the search
+    ``derive_hyperedges`` used before its bitmask one, kept as an oracle."""
+    cliques: list[frozenset[int]] = []
+
+    def extend(clique: set[int], candidates: set[int], excluded: set[int]):
+        if not candidates and not excluded:
+            cliques.append(frozenset(clique))
+            return
+        for v in sorted(candidates):
+            extend(clique | {v}, candidates & adjacency[v], excluded & adjacency[v])
+            candidates = candidates - {v}
+            excluded = excluded | {v}
+
+    extend(set(), set(range(len(adjacency))), set())
+    return cliques
+
+
+def dense_hyperedges(ops):
+    """``derive_hyperedges`` from the dense matrices: commutation by the
+    commutator, signed identity by the matrix product."""
+    matrices = [to_matrix(op) for op in ops]
+    adjacency = [
+        {j for j, b in enumerate(matrices) if j != i and a @ b == b @ a}
+        for i, a in enumerate(matrices)
+    ]
+    edges = []
+    for clique in set_maximal_cliques(adjacency):
+        members = tuple(sorted(clique))
+        if len(members) < 2:
+            continue
+        product_matrix = matrices[members[0]]
+        for v in members[1:]:
+            product_matrix = product_matrix @ matrices[v]
+        factor = product_matrix.scalar_identity_factor()
+        if factor is not None and factor.im == 0:
+            edges.append(members)
+    return tuple(sorted(edges))
+
+
+def all_words(n_qubits):
+    """The 4^n - 1 non-identity n-qubit words."""
+    return [PauliString(Phase(0), "".join(w)) for w in product(LETTERS, repeat=n_qubits)][1:]
+
+
+@st.composite
+def signed_words(draw):
+    n = draw(st.integers(1, 3))
+    letters = st.text(alphabet=LETTERS, min_size=n, max_size=n)
+    words = draw(st.lists(st.tuples(st.sampled_from((0, 2)), letters), min_size=2, max_size=10))
+    return [PauliString(Phase(power), w) for power, w in words]
 
 
 class TestDeriveHyperedges:
@@ -65,6 +118,25 @@ class TestDeriveHyperedges:
         }
         assert remapped == set(derive_hyperedges(ops))
 
+    @given(signed_words())
+    @settings(max_examples=50, deadline=None)
+    def test_matches_dense_set_based_oracle(self, ops):
+        assert derive_hyperedges(ops) == dense_hyperedges(ops)
+
+    @pytest.mark.parametrize("graph_name", ["pm", "ghz"])
+    def test_builtins_match_dense_oracle(self, graph_name, pm_graph, ghz_graph):
+        ops = (pm_graph if graph_name == "pm" else ghz_graph).operators
+        assert derive_hyperedges(ops) == dense_hyperedges(ops)
+
+    @pytest.mark.parametrize("n_qubits, count", [(2, 15), (3, 135), (4, 2295)])
+    def test_lagrangian_subspace_counts(self, n_qubits, count):
+        # the maximal commuting sets of non-identity n-qubit words are the
+        # Lagrangian subspaces of GF(2)^2n minus 0: prod_k (2^k + 1) of them,
+        # each with 2^n - 1 words, and each multiplies to a signed identity
+        edges = derive_hyperedges(all_words(n_qubits))
+        assert len(edges) == count
+        assert {len(e) for e in edges} == {2**n_qubits - 1}
+
 
 class TestBuildGraph:
     def test_square_signs(self, pm_graph):
@@ -91,6 +163,17 @@ class TestBuildGraph:
     def test_rejects_duplicate_labels(self):
         with pytest.raises(InvalidGraphError):
             build_graph([("a", "ZI"), ("a", "IZ"), ("c", "ZZ")], [(0, 1, 2)])
+
+    @pytest.mark.parametrize("word", ["II", "-II"])
+    def test_rejects_identity_vertex(self, word):
+        with pytest.raises(
+            InvalidGraphError, match=r"vertex d: [+-]II is not a two-valued hermitian observable"
+        ):
+            build_graph([("a", "ZI"), ("b", "IZ"), ("c", "ZZ"), ("d", word)], [(0, 1, 2, 3)])
+
+    def test_rejects_non_hermitian_vertex(self):
+        with pytest.raises(InvalidGraphError, match="vertex c: \\+iZZ is not a two-valued"):
+            build_graph([("a", "ZI"), ("b", "IZ"), ("c", "iZZ")], [(0, 1, 2)])
 
     def test_derivation_used_when_edges_omitted(self):
         graph = build_graph(catalog.PM_VERTICES)

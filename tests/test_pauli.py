@@ -1,8 +1,9 @@
 """Symbolic Pauli algebra against the exact matrix oracle."""
 
 import random
+import re
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,9 @@ from kscheck.pauli import (
     MAX_QUBITS,
     PauliString,
     Phase,
+    all_commute,
+    check_commuting,
+    commutation_masks,
     commutes,
     edge_product,
     multiply,
@@ -28,6 +32,34 @@ def all_words(n, phases=(0,)):
     for power in phases:
         for letters in product(LETTERS, repeat=n):
             yield PauliString(Phase(power), "".join(letters))
+
+
+def letter_product(a: str, b: str) -> tuple[int, str]:
+    """Single-qubit product a * b as (i-power, letter), from the cyclic rule
+    XY = iZ, YZ = iX, ZX = iY."""
+    if a == "I":
+        return 0, b
+    if b == "I":
+        return 0, a
+    if a == b:
+        return 0, "I"
+    ia, ib = "XYZ".index(a), "XYZ".index(b)
+    return (1 if (ib - ia) % 3 == 1 else 3), "XYZ"[3 - ia - ib]
+
+
+def letter_table_multiply(a: PauliString, b: PauliString) -> PauliString:
+    """The product letter by letter: the table the symplectic masks replaced."""
+    power = a.phase.power + b.phase.power
+    letters = []
+    for x, y in zip(a.letters, b.letters):
+        p, c = letter_product(x, y)
+        power += p
+        letters.append(c)
+    return PauliString(Phase(power), "".join(letters))
+
+
+def random_word(rng, n):
+    return PauliString(Phase(rng.randrange(4)), "".join(rng.choice(LETTERS) for _ in range(n)))
 
 
 class TestParsing:
@@ -97,6 +129,23 @@ class TestMultiply:
             for b in words:
                 assert to_matrix(a * b) == to_matrix(a) @ to_matrix(b)
 
+    def test_matches_letter_table_on_all_small_words(self):
+        for n in (1, 2):
+            words = list(all_words(n, phases=(0, 1, 2, 3)))
+            for a in words:
+                for b in words:
+                    assert a * b == letter_table_multiply(a, b)
+
+    def test_matches_letter_table_on_random_wide_words(self):
+        rng = random.Random(90210)
+        for _ in range(5000):
+            n = rng.randint(1, MAX_QUBITS)
+            a, b = random_word(rng, n), random_word(rng, n)
+            assert a * b == letter_table_multiply(a, b)
+            # words commute iff an even number of slots hold two different non-I letters
+            conflicts = sum(x != "I" and y != "I" and x != y for x, y in zip(a.letters, b.letters))
+            assert commutes(a, b) == (conflicts % 2 == 0)
+
     def test_homomorphism_random_larger_words(self):
         rng = random.Random(20240811)
         for n in (3, 4):
@@ -145,6 +194,30 @@ class TestCommutes:
             b = PauliString(Phase(0), "".join(rng.choice(LETTERS) for _ in range(3)))
             ma, mb = to_matrix(a), to_matrix(b)
             assert commutes(a, b) == (ma @ mb == mb @ ma)
+
+
+class TestCommutationMasks:
+    def test_mask_table_and_pair_check_match_matrix_commutators(self):
+        rng = random.Random(7)
+        for _ in range(40):
+            n = rng.randint(1, 3)
+            ops = [random_word(rng, n) for _ in range(rng.randint(1, 6))]
+            matrices = [to_matrix(op) for op in ops]
+            clashes = [
+                (a, b)
+                for a, b in combinations(range(len(ops)), 2)
+                if matrices[a] @ matrices[b] != matrices[b] @ matrices[a]
+            ]
+            masks = commutation_masks(ops)
+            for members in range(1 << len(ops)):
+                expected = not any(members >> a & 1 and members >> b & 1 for a, b in clashes)
+                assert all_commute(masks, members) == expected
+            if clashes:
+                a, b = clashes[0]
+                with pytest.raises(ValueError, match=f"^{re.escape(f'{ops[a]} and {ops[b]}')}"):
+                    check_commuting(ops)
+            else:
+                check_commuting(ops)
 
 
 class TestToMatrix:
@@ -227,8 +300,17 @@ class TestEdgeProduct:
             edge_product([P("X"), P("Z")])
 
     def test_rejects_non_identity_product(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"product \+ZZ is not a signed identity"):
             edge_product([P("ZI"), P("IZ")])
+
+    def test_names_the_first_noncommuting_pair(self):
+        # (ZI, IZ) commute, (ZI, XX) is the first pair that does not
+        with pytest.raises(ValueError, match=r"^\+ZI and \+XX do not commute$"):
+            edge_product([P("ZI"), P("IZ"), P("XX"), P("XZ")])
+
+    def test_length_mismatch(self):
+        with pytest.raises(ValueError, match="length mismatch: 2 vs 3 qubits"):
+            edge_product([P("ZZ"), P("ZZZ")])
 
     @given(st.permutations([0, 1, 2]))
     @settings(max_examples=6, deadline=None)

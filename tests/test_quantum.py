@@ -408,6 +408,39 @@ class TestPauliExpansionOracle:
             )
             assert is_operational_eigenstate(pinned, ops)
 
+    def test_exact_matrix_built_on_first_read(self, monkeypatch):
+        built = []
+        init = GaussianRational.__init__
+
+        def counting_init(self, re=0, im=0):
+            built.append(1)
+            init(self, re, im)
+
+        monkeypatch.setattr(GaussianRational, "__init__", counting_init)
+        ops = (P("XXXXXXXX"), P("ZZZZZZZZ"), P("ZZIIIIII"))
+        rho = DensityOperator.from_eigenspace(ops, (1, -1, 1))
+        assert joint_distribution(rho, ops)[(1, -1, 1)] == 1
+        assert is_operational_eigenstate(rho, ops)
+        assert built == []
+        exact = rho.exact
+        assert built
+        assert rho.exact is exact
+        monkeypatch.undo()
+        # three independent commuting words: a normalized projection of rank
+        # 2^8 / 2^3 (the dense oracle's 256 x 256 Fraction products are too
+        # slow for this suite at 8 qubits; the next test compares at 5)
+        assert exact.trace() == 1
+        squared = exact @ exact
+        cells = [(r, c) for r in range(256) for c in range(256) if exact[r][c] or squared[r][c]]
+        assert all(32 * squared[r][c] == exact[r][c] for r, c in cells)
+
+    def test_lazy_exact_matches_dense_oracle(self):
+        ops = (P("XXXXI"), P("ZZZZI"), P("ZZIII"), P("IIXXI"))
+        for outcomes in ((1, 1, 1, 1), (-1, 1, -1, 1), (1, -1, -1, -1)):
+            rho = DensityOperator.from_eigenspace(ops, outcomes)
+            oracle = DensityOperator.from_projection(joint_projection(ops, outcomes))
+            assert rho.exact == oracle.exact
+
     def test_maximally_mixed_matches_scaled_identity(self):
         rho = DensityOperator.maximally_mixed(8)
         assert rho.exact == ComplexMatrix.identity(8).scale(Fraction(1, 8))
