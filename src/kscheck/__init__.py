@@ -5,7 +5,8 @@ The package splits the job the way the arguments themselves do:
 - ``pauli`` / ``exact``: phase-tracked operator algebra with an exact
   Q[i] matrix oracle;
 - ``graph``: hypergraphs of commuting observables, the one depth-first
-  constraint search, and FUNC value assignments with parity certificates;
+  constraint search, and FUNC value assignments, solved as a GF(2) parity
+  system, with parity certificates;
 - ``quantum``: Born-rule probabilities, support tables, common eigenbases;
 - ``operational``: measurements, comeasurability, probability tables,
   no-disturbance;

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import time
 
@@ -36,6 +37,25 @@ EXIT_INVALID_GRAPH = 3
 EXIT_MISSING_BLOCK = 4
 EXIT_CAP = 5
 EXIT_BAD_ARGUMENT = 6
+
+# json.dumps of a nonempty list of nonempty integer rows, with its default
+# separators; compiled on first use, so verbs that list no rows never pay for it
+_INT_ROWS = r"\[\[[-\d, ]+\](?:, \[[-\d, ]+\])*\]"
+
+
+def _indented_rows(rows) -> str | None:
+    """``rows`` as ``json.dumps(doc, indent=2)`` writes them under a key of doc,
+    or None unless they are nonempty rows of integers.
+
+    ``indent=2`` always runs the pure-Python encoder; the compact dump runs
+    the C one, and in integer rows only ``", "`` and ``"], ["`` need
+    breaking up.
+    """
+    compact = json.dumps(rows)
+    if not re.fullmatch(_INT_ROWS, compact):
+        return None
+    body = compact[2:-2].replace("], [", "\n    ],\n    [\n      ").replace(", ", ",\n      ")
+    return f"[\n    [\n      {body}\n    ]\n  ]"
 
 
 class Report:
@@ -81,7 +101,16 @@ class Report:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        """``json.dumps(self.to_dict(), indent=2)``, with integer witness rows
+        encoded apart and spliced in."""
+        doc = self.to_dict()
+        rows = _indented_rows(self.witnesses) if self.witnesses else None
+        if rows is None:
+            return json.dumps(doc, indent=2)
+        doc["witnesses"] = None
+        # every other "witnesses" key is indented deeper, and strings escape newlines
+        key = '\n  "witnesses": '
+        return json.dumps(doc, indent=2).replace(key + "null", key + rows, 1)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Report":
@@ -100,7 +129,7 @@ class Report:
         if self.witnesses is not None:
             shown = self.witnesses[:8]
             for w in shown:
-                out.append(f"  witness: {w}")
+                out.append(f"  witness: {list(w)}")
             if len(self.witnesses) > len(shown):
                 out.append(f"  ... {len(self.witnesses) - len(shown)} more witnesses")
         out.append(f"  time: {self.timing_s:.3f}s")
@@ -170,7 +199,7 @@ def cmd_verify(args) -> Report:
             "assignment_space": 2**graph.n_vertices,
             "certificate": "parity" if certificate else None,
         },
-        witnesses=[list(w) for w in verdict.witnesses] or None,
+        witnesses=list(verdict.witnesses) or None,
         certificate=certificate,
         timing_s=elapsed,
     )

@@ -114,7 +114,11 @@ def _as_entry(value) -> GaussianRational:
 
 
 class ComplexMatrix:
-    """Dense square matrix over Q[i]."""
+    """Dense square matrix over Q[i].
+
+    Entries are never changed in place, so results share them: every zero
+    an operation can see coming is the one ``ZERO``.
+    """
 
     __slots__ = ("rows",)
 
@@ -133,11 +137,11 @@ class ComplexMatrix:
 
     @classmethod
     def identity(cls, dim: int) -> "ComplexMatrix":
-        return cls([[1 if i == j else 0 for j in range(dim)] for i in range(dim)])
+        return cls([[1 if i == j else ZERO for j in range(dim)] for i in range(dim)])
 
     @classmethod
     def zeros(cls, dim: int) -> "ComplexMatrix":
-        return cls([[0] * dim for _ in range(dim)])
+        return cls([[ZERO] * dim for _ in range(dim)])
 
     def __getitem__(self, index: int):
         return self.rows[index]
@@ -167,7 +171,10 @@ class ComplexMatrix:
         if self.dim != other.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
         return ComplexMatrix(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)]
+            [
+                [a + b if a and b else a or b for a, b in zip(r1, r2)]
+                for r1, r2 in zip(self.rows, other.rows)
+            ]
         )
 
     def __sub__(self, other: "ComplexMatrix") -> "ComplexMatrix":
@@ -176,11 +183,13 @@ class ComplexMatrix:
         return self + (-other)
 
     def __neg__(self) -> "ComplexMatrix":
-        return ComplexMatrix([[-v for v in row] for row in self.rows])
+        return ComplexMatrix([[-v if v else ZERO for v in row] for row in self.rows])
 
     def scale(self, scalar) -> "ComplexMatrix":
         scalar = _as_entry(scalar)
-        return ComplexMatrix([[scalar * v for v in row] for row in self.rows])
+        if not scalar:
+            return ComplexMatrix.zeros(self.dim)
+        return ComplexMatrix([[scalar * v if v else ZERO for v in row] for row in self.rows])
 
     def __eq__(self, other):
         if not isinstance(other, ComplexMatrix):
@@ -188,11 +197,11 @@ class ComplexMatrix:
         return self.rows == other.rows
 
     def kron(self, other: "ComplexMatrix") -> "ComplexMatrix":
-        n, m = self.dim, other.dim
         return ComplexMatrix(
             [
-                [self.rows[i // m][j // m] * other.rows[i % m][j % m] for j in range(n * m)]
-                for i in range(n * m)
+                [a * b if a and b else ZERO for a in row for b in other_row]
+                for row in self.rows
+                for other_row in other.rows
             ]
         )
 
@@ -213,7 +222,7 @@ class ComplexMatrix:
 
     def conjugate_transpose(self) -> "ComplexMatrix":
         return ComplexMatrix(
-            [[self.rows[j][i].conjugate() for j in range(self.dim)] for i in range(self.dim)]
+            [[v.conjugate() if v else ZERO for v in column] for column in zip(*self.rows)]
         )
 
     def is_zero(self) -> bool:

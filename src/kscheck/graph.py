@@ -3,10 +3,13 @@
 Vertices carry self-adjoint Pauli words; hyperedges are mutually commuting
 subsets whose ordered product is a signed identity.  A value assignment
 puts ±1 on every vertex; it is admissible when the values on every edge
-multiply to that edge's sign.  ``depth_first`` is the package's one
-assignment search, a depth-first table-constraint search with branch and
-bound: value assignments here, the type II pipeline in ``realization`` and
-the model and robustness searches in ``ontology`` all run on it.
+multiply to that edge's sign.  Those constraints are a linear system over
+GF(2), so ``search_assignments`` solves it by Gaussian elimination and
+lists its solutions.  ``depth_first`` is the package's one search over
+general constraints, a depth-first table-constraint search with branch and
+bound: the type II pipeline in ``realization`` and the model and
+robustness searches in ``ontology``, whose supports are not parity sets in
+general, run on it.
 """
 
 from __future__ import annotations
@@ -214,7 +217,10 @@ def build_graph(
     else:
         edges = []
         for raw in hyperedges:
-            members = tuple(sorted(set(raw)))
+            given = list(raw)
+            members = tuple(sorted(set(given)))
+            if len(members) != len(given):
+                raise InvalidGraphError(f"edge {raw!r} repeats a vertex")
             if len(members) < 2:
                 raise InvalidGraphError(f"edge {raw!r} has fewer than two vertices")
             if members[0] < 0 or members[-1] >= len(parsed):
@@ -310,26 +316,72 @@ def depth_first(
     return bound
 
 
-def search_assignments(graph: KSGraph, cap: int = SEARCH_CAP) -> TheoremVerdict:
-    """Exhaust {+1, -1}^|V| and collect every FUNC-respecting assignment.
+def _echelon(graph: KSGraph) -> dict[int, tuple[int, int]] | None:
+    """The FUNC constraints as a GF(2) system in echelon form, or None if UNSAT.
 
-    Each edge is checked against its admissible tuples once it is fully
-    assigned; witnesses come out in lexicographic order (+1 before -1).
+    Value +1 is bit 0 and -1 is bit 1, so an edge asks that the bits of its
+    vertices add up to 1 exactly when its sign is -1.  Each edge is a row
+    (vertex mask, rhs); Gaussian elimination reduces it on its highest
+    vertex until that vertex is no other row's pivot, and keeps it under
+    that pivot.  A row that reduces to 0 with rhs 1 is a contradiction.
     """
-    constraints = (
-        (edge, frozenset(admissible_tuples(graph, e_idx)))
-        for e_idx, edge in enumerate(graph.hyperedges)
-    )
-    witnesses: list[ValueAssignment] = []
+    pivots: dict[int, tuple[int, int]] = {}
+    for edge, sign in zip(graph.hyperedges, graph.edge_signs):
+        row = 0
+        for v in edge:
+            row |= 1 << v
+        rhs = int(sign < 0)
+        while row:
+            top = row.bit_length() - 1
+            if top not in pivots:
+                pivots[top] = (row, rhs)
+                break
+            pivot_row, pivot_rhs = pivots[top]
+            row ^= pivot_row
+            rhs ^= pivot_rhs
+        else:
+            if rhs:
+                return None
+    return pivots
 
-    def keep(values: ValueAssignment, violated: int) -> int:
-        witnesses.append(values)
-        return 1
 
-    depth_first([(1, -1)] * graph.n_vertices, constraints, 1, keep, cap)
+def _solutions(n_vertices: int, pivots: dict[int, tuple[int, int]]) -> tuple[ValueAssignment, ...]:
+    """Every solution of an echelon form from ``_echelon``, in lexicographic order.
+
+    Every row's other vertices lie below its pivot, so walking the vertices
+    from 0 upward a free vertex takes +1 and then -1, and a pivot is forced
+    by the vertices already assigned: no branch dies.  The walk keeps each
+    partial assignment as a bit mask and turns the masks into ±1 tuples at
+    the end, one vertex column at a time.
+    """
+    masks = [0]
+    for v in range(n_vertices):
+        bit = 1 << v
+        if v in pivots:
+            row, rhs = pivots[v]
+            masks = [x | bit if (row & x).bit_count() & 1 != rhs else x for x in masks]
+        else:
+            # each mask, then the same mask with v at -1
+            doubled = masks * 2
+            doubled[::2] = masks
+            doubled[1::2] = [x | bit for x in masks]
+            masks = doubled
+    columns = [[-1 if x >> v & 1 else 1 for x in masks] for v in range(n_vertices)]
+    return tuple(zip(*columns)) if columns else ((),)
+
+
+def search_assignments(graph: KSGraph, cap: int = SEARCH_CAP) -> TheoremVerdict:
+    """Every FUNC-respecting assignment, by solving the parity system.
+
+    Gaussian elimination over GF(2) decides satisfiability; the witnesses,
+    2^(|V| - rank) of them, come out in lexicographic order (+1 before -1).
+    """
+    check_cap(graph.n_vertices, cap)
+    pivots = _echelon(graph)
+    witnesses = () if pivots is None else _solutions(graph.n_vertices, pivots)
     return TheoremVerdict(
         satisfiable=bool(witnesses),
-        witnesses=tuple(witnesses),
+        witnesses=witnesses,
         certificate=parity_certificate(graph),
     )
 

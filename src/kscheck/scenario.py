@@ -81,12 +81,25 @@ def _number(value: Any, path: str):
     _fail(f"expected a number, got {type(value).__name__}", path)
 
 
-def _complex_entry(value: Any, path: str):
+_ZERO = Fraction(0)
+
+
+def _part(value: Any, path: str, numbers: dict[str, Fraction]):
+    """``_number(value, path)``, parsing each distinct string once per ``numbers``."""
+    if type(value) is not str:
+        return _number(value, path)
+    part = numbers.get(value)
+    if part is None:
+        part = numbers[value] = _number(value, path)
+    return part
+
+
+def _complex_entry(value: Any, path: str, numbers: dict[str, Fraction]):
     """A matrix entry: number, or [re, im] pair; exact iff all parts are."""
     if isinstance(value, (int, str)) or isinstance(value, float):
-        return _number(value, path), Fraction(0) if not isinstance(value, float) else 0.0
+        return _part(value, path, numbers), _ZERO if not isinstance(value, float) else 0.0
     if isinstance(value, list) and len(value) == 2:
-        return _number(value[0], f"{path}[0]"), _number(value[1], f"{path}[1]")
+        return _part(value[0], f"{path}[0]", numbers), _part(value[1], f"{path}[1]", numbers)
     _fail("expected a number or an [re, im] pair", path)
 
 
@@ -108,7 +121,7 @@ def _parse_graph(doc: dict, path: str) -> KSGraph:
         if not isinstance(hyperedges, list):
             _fail("'hyperedges' must be a list of index lists", f"{path}.hyperedges")
         for i, edge in enumerate(hyperedges):
-            if not isinstance(edge, list) or not all(isinstance(v, int) for v in edge):
+            if not isinstance(edge, list) or not all(type(v) is int for v in edge):
                 _fail("edge must be a list of vertex indices", f"{path}.hyperedges[{i}]")
     try:
         return build_graph(vertices, hyperedges)
@@ -122,6 +135,7 @@ def _parse_states(doc: Any, path: str) -> dict[str, DensityOperator]:
     if not isinstance(doc, dict):
         _fail("'states' must map labels to state definitions", path)
     states = {}
+    numbers: dict[str, Fraction] = {}
     for label, spec in doc.items():
         spath = f"{path}.{label}"
         if not isinstance(spec, dict):
@@ -131,7 +145,7 @@ def _parse_states(doc: Any, path: str) -> dict[str, DensityOperator]:
                 amps = [
                     complex(float(re), float(im))
                     for re, im in (
-                        _complex_entry(v, f"{spath}.vector[{k}]")
+                        _complex_entry(v, f"{spath}.vector[{k}]", numbers)
                         for k, v in enumerate(spec["vector"])
                     )
                 ]
@@ -140,7 +154,7 @@ def _parse_states(doc: Any, path: str) -> dict[str, DensityOperator]:
                 rows = spec["density"]
                 parsed = [
                     [
-                        _complex_entry(v, f"{spath}.density[{r}][{c}]")
+                        _complex_entry(v, f"{spath}.density[{r}][{c}]", numbers)
                         for c, v in enumerate(row)
                     ]
                     for r, row in enumerate(rows)

@@ -97,6 +97,22 @@ class TestVerify:
         assert doc["verdicts"]["satisfiable"] is True
         assert doc["verdicts"]["witness_count"] == 4
 
+    def test_repeated_vertex_in_edge_exit_three(self, capsys, tmp_path):
+        path = tmp_path / "repeated.json"
+        path.write_text(json.dumps({**SINGLE_EDGE, "hyperedges": [[0, 1, 2], [0, 0, 1, 2]]}))
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == 3
+        assert out == ""
+        assert err == "invalid graph: edge [0, 0, 1, 2] repeats a vertex\n"
+
+    def test_boolean_vertex_index_exit_two(self, capsys, tmp_path):
+        path = tmp_path / "booleans.json"
+        path.write_text(json.dumps({**SINGLE_EDGE, "hyperedges": [[False, True, 2]]}))
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("parse error: $.hyperedges[0]: ")
+
     def test_human_output_mentions_verdict(self, capsys):
         code, out, _ = run(capsys, "verify", "peres-mermin")
         assert code == 0
@@ -568,6 +584,40 @@ print(json.dumps([code, added, "hashlib" in sys.modules, digest]))
         doc = json.loads(out)
         report = Report.from_dict(doc)
         assert json.loads(report.to_json()) == doc
+
+    @pytest.mark.parametrize(
+        "witnesses",
+        [
+            None,
+            [[1, 1, 1, 1, 1, 1, 1, 1, 1, 1]],
+            [list(w) for w in product((1, -1), repeat=10)],
+            list(product((1, -1), repeat=10)),
+            [[12, -345], [0, 7]],
+            # not integer rows: written by the plain encoder
+            [],
+            [[]],
+            [[True, False]],
+            [[1.0, -1]],
+            [["1", -1]],
+            [[[1]], 2],
+            [[[1], 2]],
+            [[1], [[2], -3]],
+            [[1], None],
+        ],
+    )
+    @pytest.mark.parametrize(
+        "source", ["peres-mermin", 'x "witnesses": null, y], [z\n  "witnesses": null']
+    )
+    def test_report_json_is_the_indented_dump(self, witnesses, source):
+        report = Report(
+            "verify",
+            {"source": source, "digest": "d"},
+            {"satisfiable": True, "nested": {"witnesses": None}},
+            witnesses=witnesses,
+            certificate={"kind": "parity", "vertex_degrees": [2, 2]},
+            timing_s=0.25,
+        )
+        assert report.to_json() == json.dumps(report.to_dict(), indent=2)
 
     def test_seed_flag_rejected(self):
         with pytest.raises(SystemExit) as exc:

@@ -3,8 +3,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kscheck.exact import ComplexMatrix, GaussianRational
+from kscheck.exact import ZERO, ComplexMatrix, GaussianRational
+from kscheck.pauli import LETTERS, PauliString, Phase, to_matrix
 
 
 class TestGaussianRational:
@@ -79,3 +82,54 @@ class TestComplexMatrix:
             ComplexMatrix([[1, 2], [3]])
         with pytest.raises(ValueError):
             ComplexMatrix([])
+
+
+def reference_kron(a, b):
+    """The entry formula ``kron`` used before it shared ZERO."""
+    n, m = a.dim, b.dim
+    return ComplexMatrix(
+        [[a[i // m][j // m] * b[i % m][j % m] for j in range(n * m)] for i in range(n * m)]
+    )
+
+
+def entrywise(f, *matrices):
+    return ComplexMatrix(
+        [[f(*vs) for vs in zip(*rows)] for rows in zip(*(m.rows for m in matrices))]
+    )
+
+
+words = st.builds(
+    PauliString,
+    st.builds(Phase, st.integers(0, 3)),
+    st.text(alphabet=LETTERS, min_size=1, max_size=5),
+)
+
+
+class TestSharedZero:
+    @given(words, words)
+    @settings(max_examples=30, deadline=None)
+    def test_operations_match_fresh_entries(self, p, q):
+        single = [to_matrix(PauliString(Phase(0), letter)) for letter in p.letters]
+        expected = single[0]
+        for m in single[1:]:
+            expected = reference_kron(expected, m)
+        phase = p.phase.to_exact()
+        expected = entrywise(lambda v: phase * v, expected)
+        a = to_matrix(p)
+        assert a == expected
+
+        b = to_matrix(PauliString(q.phase, (q.letters * 5)[: len(p.letters)]))
+        assert a + b == entrywise(lambda x, y: x + y, a, b)
+        assert -a == entrywise(lambda x: -x, a)
+        assert a - b == entrywise(lambda x, y: x - y, a, b)
+        assert a.scale(GaussianRational(Fraction(1, 3), -2)) == entrywise(
+            lambda x: GaussianRational(Fraction(1, 3), -2) * x, a
+        )
+        assert a.scale(0) == ComplexMatrix.zeros(a.dim)
+        assert a.conjugate_transpose() == ComplexMatrix(
+            [[a[j][i].conjugate() for j in range(a.dim)] for i in range(a.dim)]
+        )
+        y = to_matrix(PauliString(Phase(1), "Y"))
+        k = a.kron(y)
+        assert k == reference_kron(a, y)
+        assert all(v is ZERO for row in k.rows for v in row if not v)

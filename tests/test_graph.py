@@ -1,5 +1,6 @@
 """Hypergraph construction, assignment search, parity certificates."""
 
+import random
 from itertools import product
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from kscheck import catalog
 from kscheck.errors import CapExceededError, InvalidGraphError
 from kscheck.graph import (
+    KSGraph,
     admissible_tuples,
     build_graph,
     depth_first,
@@ -37,6 +39,23 @@ def brute_force_witnesses(graph):
         if ok:
             out.append(combo)
     return out
+
+
+def depth_first_witnesses(graph):
+    """The table search ``search_assignments`` ran before it solved the
+    parity system: each edge checked against its admissible tuples once it
+    is fully assigned."""
+    constraints = [
+        (edge, frozenset(admissible_tuples(graph, e))) for e, edge in enumerate(graph.hyperedges)
+    ]
+    witnesses = []
+
+    def keep(values, violated):
+        witnesses.append(values)
+        return 1
+
+    depth_first([(1, -1)] * graph.n_vertices, constraints, 1, keep)
+    return witnesses
 
 
 def set_maximal_cliques(adjacency: list[set[int]]) -> list[frozenset[int]]:
@@ -159,6 +178,11 @@ class TestBuildGraph:
                 [("a", "ZI"), ("b", "IZ"), ("c", "ZZ"), ("d", "XX")],
                 [(0, 1, 2)],
             )
+
+    def test_rejects_repeated_vertex_in_edge(self):
+        # read as (0, 1, 2) this edge would pass, but ZI*ZI*IZ*ZZ = ZI is no signed identity
+        with pytest.raises(InvalidGraphError, match=r"edge \[0, 0, 1, 2\] repeats a vertex"):
+            build_graph([("a", "ZI"), ("b", "IZ"), ("c", "ZZ")], [[0, 1, 2], [0, 0, 1, 2]])
 
     def test_rejects_duplicate_labels(self):
         with pytest.raises(InvalidGraphError):
@@ -305,3 +329,81 @@ class TestRandomSubgraphs:
         expected = brute_force_witnesses(graph)
         assert list(verdict.witnesses) == expected
         assert verdict.satisfiable == bool(expected)
+
+
+@st.composite
+def parity_systems(draw):
+    """Any signs on any edges of 2-5 vertices: the search reads only the
+    incidence and the signs, so the words need not multiply out."""
+    n = draw(st.integers(2, 12))
+    edges = draw(
+        st.lists(
+            st.lists(st.integers(0, n - 1), min_size=2, max_size=min(5, n), unique=True).map(
+                lambda e: tuple(sorted(e))
+            ),
+            min_size=1,
+            max_size=10,
+        )
+    )
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=len(edges), max_size=len(edges)))
+    vertices = tuple((f"v{i}", P("Z")) for i in range(n))
+    return KSGraph(vertices, tuple(edges), tuple(signs))
+
+
+def block_union(rng, blocks, drop_one_edge):
+    """The blocks side by side on shuffled vertices, with one edge of each
+    dropped if asked.  A square and a pentagram give 19 vertices and, with
+    an edge dropped from each, 2^4 * 2^6 witnesses."""
+    vertices, edges, signs = [], [], []
+    for block in blocks:
+        kept = list(range(len(block.hyperedges)))
+        if drop_one_edge:
+            kept.remove(rng.randrange(len(kept)))
+        offset = len(vertices)
+        vertices += [(f"{label}{offset}", op) for label, op in block.vertices]
+        edges += [tuple(offset + v for v in block.hyperedges[e]) for e in kept]
+        signs += [block.edge_signs[e] for e in kept]
+    order = list(range(len(vertices)))
+    rng.shuffle(order)
+    position = {old: new for new, old in enumerate(order)}
+    return KSGraph(
+        tuple(vertices[old] for old in order),
+        tuple(tuple(sorted(position[v] for v in edge)) for edge in edges),
+        tuple(signs),
+    )
+
+
+class TestParitySystem:
+    @given(parity_systems())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_brute_force(self, graph):
+        verdict = search_assignments(graph)
+        expected = brute_force_witnesses(graph)
+        assert list(verdict.witnesses) == expected
+        assert verdict.satisfiable == bool(expected)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize(
+        "blocks, count",
+        [
+            ((catalog.peres_mermin_graph(), catalog.ghz_graph()), 1024),
+            ((catalog.peres_mermin_graph(), catalog.peres_mermin_graph()), 256),
+        ],
+    )
+    def test_block_unions_match_table_search(self, seed, blocks, count):
+        rng = random.Random(seed)
+        for drop_one_edge in (True, False):
+            graph = block_union(rng, blocks, drop_one_edge)
+            verdict = search_assignments(graph)
+            assert list(verdict.witnesses) == depth_first_witnesses(graph)
+            assert len(verdict.witnesses) == (count if drop_one_edge else 0)
+
+    def test_doily_is_unsat(self):
+        # the 15 two-qubit words and their 15 lines (Saniga and Planat's
+        # W(3,2)); no vertex has even degree, so there is no squaring certificate
+        graph = build_graph([(w.letters, w) for w in all_words(2)])
+        assert len(graph.hyperedges) == 15
+        verdict = search_assignments(graph)
+        assert not verdict.satisfiable
+        assert verdict.witnesses == ()
+        assert verdict.certificate is None

@@ -1,10 +1,12 @@
 """Scenario files: parsing, diagnostics, round-trips."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
 from kscheck.errors import InvalidGraphError, ScenarioParseError
+from kscheck.exact import ComplexMatrix
 from kscheck.scenario import (
     builtin_scenario,
     load_scenario,
@@ -79,6 +81,17 @@ class TestParsing:
         with pytest.raises(InvalidGraphError):
             parse_scenario(doc, digest="test")
 
+    def test_boolean_vertex_index_is_a_parse_error(self):
+        doc = {**MINIMAL_GRAPH, "hyperedges": [[False, True, 2]]}
+        with pytest.raises(ScenarioParseError) as err:
+            parse_scenario(doc, digest="test")
+        assert err.value.path == "$.hyperedges[0]"
+
+    def test_repeated_vertex_index_is_an_invalid_graph(self):
+        doc = {**MINIMAL_GRAPH, "hyperedges": [[0, 1, 2], [0, 0, 1, 2]]}
+        with pytest.raises(InvalidGraphError, match=r"edge \[0, 0, 1, 2\] repeats a vertex"):
+            parse_scenario(doc, digest="test")
+
     def test_vertex_missing_field(self):
         doc = {"name": "x", "vertices": [{"label": "a"}]}
         with pytest.raises(ScenarioParseError) as err:
@@ -138,6 +151,22 @@ class TestParsing:
         }
         scenario = parse_scenario(doc, digest="test")
         assert scenario.states["mixed"].exact is not None
+
+    def test_repeated_density_strings_parse_alike(self):
+        doc = dict(MINIMAL_GRAPH)
+        doc["states"] = {
+            "mixed": {"density": [[["1/4", "0"] if r == c else "0" for c in range(4)]
+                                  for r in range(4)]},
+            "bad": {"density": [["1/4" if r == c else "0" for c in range(4)] for r in range(4)]},
+        }
+        doc["states"]["bad"]["density"][2][3] = "1/0"
+        with pytest.raises(ScenarioParseError) as err:
+            parse_scenario(doc, digest="test")
+        assert err.value.path == "$.states.bad.density[2][3]"
+        assert err.value.reason == "not a rational number: '1/0'"
+        del doc["states"]["bad"]
+        exact = parse_scenario(doc, digest="test").states["mixed"].exact
+        assert exact == ComplexMatrix.identity(4).scale(Fraction(1, 4))
 
     @pytest.mark.parametrize(
         "density, reason",
