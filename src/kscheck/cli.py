@@ -64,7 +64,7 @@ class Report:
         command: str,
         inputs: dict,
         verdicts: dict,
-        witnesses: list | None = None,
+        witnesses: list[tuple[int, ...]] | None = None,
         certificate: dict | None = None,
         timing_s: float = 0.0,
         lines: list[str] | None = None,
@@ -118,7 +118,7 @@ class Report:
             command=doc["command"],
             inputs=doc["inputs"],
             verdicts=doc["verdicts"],
-            witnesses=doc["witnesses"],
+            witnesses=None if doc["witnesses"] is None else [tuple(w) for w in doc["witnesses"]],
             certificate=doc["certificate"],
             timing_s=doc["timing_s"],
         )
@@ -325,7 +325,7 @@ def cmd_ghz(args) -> Report:
             },
             "eigenstate_verified": result.eigenstate_verified,
         },
-        witnesses=[list(result.witness)] if result.witness else None,
+        witnesses=[result.witness] if result.witness else None,
         timing_s=elapsed,
     )
     outcome = "SAT (argument fails)" if result.satisfiable else "UNSAT (argument succeeds)"

@@ -84,22 +84,12 @@ def _number(value: Any, path: str):
 _ZERO = Fraction(0)
 
 
-def _part(value: Any, path: str, numbers: dict[str, Fraction]):
-    """``_number(value, path)``, parsing each distinct string once per ``numbers``."""
-    if type(value) is not str:
-        return _number(value, path)
-    part = numbers.get(value)
-    if part is None:
-        part = numbers[value] = _number(value, path)
-    return part
-
-
-def _complex_entry(value: Any, path: str, numbers: dict[str, Fraction]):
+def _complex_entry(value: Any, path: str):
     """A matrix entry: number, or [re, im] pair; exact iff all parts are."""
     if isinstance(value, (int, str)) or isinstance(value, float):
-        return _part(value, path, numbers), _ZERO if not isinstance(value, float) else 0.0
+        return _number(value, path), _ZERO if not isinstance(value, float) else 0.0
     if isinstance(value, list) and len(value) == 2:
-        return _part(value[0], f"{path}[0]", numbers), _part(value[1], f"{path}[1]", numbers)
+        return _number(value[0], f"{path}[0]"), _number(value[1], f"{path}[1]")
     _fail("expected a number or an [re, im] pair", path)
 
 
@@ -135,7 +125,6 @@ def _parse_states(doc: Any, path: str) -> dict[str, DensityOperator]:
     if not isinstance(doc, dict):
         _fail("'states' must map labels to state definitions", path)
     states = {}
-    numbers: dict[str, Fraction] = {}
     for label, spec in doc.items():
         spath = f"{path}.{label}"
         if not isinstance(spec, dict):
@@ -145,7 +134,7 @@ def _parse_states(doc: Any, path: str) -> dict[str, DensityOperator]:
                 amps = [
                     complex(float(re), float(im))
                     for re, im in (
-                        _complex_entry(v, f"{spath}.vector[{k}]", numbers)
+                        _complex_entry(v, f"{spath}.vector[{k}]")
                         for k, v in enumerate(spec["vector"])
                     )
                 ]
@@ -154,7 +143,7 @@ def _parse_states(doc: Any, path: str) -> dict[str, DensityOperator]:
                 rows = spec["density"]
                 parsed = [
                     [
-                        _complex_entry(v, f"{spath}.density[{r}][{c}]", numbers)
+                        _complex_entry(v, f"{spath}.density[{r}][{c}]")
                         for c, v in enumerate(row)
                     ]
                     for r, row in enumerate(rows)

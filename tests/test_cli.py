@@ -586,6 +586,26 @@ print(json.dumps([code, added, "hashlib" in sys.modules, digest]))
         assert json.loads(report.to_json()) == doc
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", None],
+            ["verify", "peres-mermin"],
+            ["ghz", "ghz", "--flip-sign"],
+            ["ghz", "ghz"],
+        ],
+    )
+    def test_report_fields_round_trip(self, tmp_path, argv):
+        # witness rows are tuples before and after; `lines` is text only
+        path = tmp_path / "single.json"
+        path.write_text(json.dumps(SINGLE_EDGE))
+        args = cli.build_parser().parse_args([a or str(path) for a in argv])
+        report = args.func(args)
+        back = Report.from_dict(json.loads(report.to_json()))
+        assert back.to_dict() == report.to_dict()
+        assert back == Report.from_dict(report.to_dict())
+        assert back.to_json() == report.to_json()
+
+    @pytest.mark.parametrize(
         "witnesses",
         [
             None,
