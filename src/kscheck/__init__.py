@@ -8,122 +8,89 @@ The package splits the job the way the arguments themselves do:
   constraint search, and FUNC value assignments, solved as a GF(2) parity
   system, with parity certificates;
 - ``quantum``: Born-rule probabilities, support tables, common eigenbases;
-- ``operational``: measurements, comeasurability, probability tables,
-  no-disturbance;
+- ``operational``: measurements, comeasurability, realizations (the
+  vertex-measurement associations), probability tables, no-disturbance;
 - ``ontology``: ontic states, response functions, noncontextuality,
   statistics-equivalence (Spekkens) checks, model existence search;
-- ``realization``: vertex-measurement associations, argument types
-  I/II/III, the uniqueness lemma, the state-dependent pipeline;
+- ``realization``: argument types I/II/III, the uniqueness lemma, the
+  state-dependent pipeline;
 - ``catalog`` / ``scenario`` / ``cli``: built-ins, files and commands.
+
+The names in ``__all__`` load their module on first use (PEP 562), so
+``import kscheck`` loads no submodule and a command loads only the modules
+it runs.
 """
 
-from .exact import ComplexMatrix, GaussianRational
-from .graph import (
-    KSGraph,
-    TheoremVerdict,
-    ParityCertificate,
-    admissible_tuples,
-    build_graph,
-    derive_hyperedges,
-    parity_certificate,
-    search_assignments,
-)
-from .ontology import (
-    ModelVerdict,
-    OntologicalModel,
-    classify_model,
-    factorizes,
-    is_noncontextual,
-    is_value_definite,
-    min_violation_fraction,
-    recovers,
-    satisfies_spekkens,
-    search_ncvd,
-)
-from .operational import (
-    Measurement,
-    OperationalTheory,
-    eigenstate_preparations,
-    from_quantum,
-    is_nondisturbing,
-    marginal,
-    support,
-)
-from .pauli import PauliString, Phase, commutes, edge_product, multiply, spectral_projection, to_matrix
-from .quantum import (
-    DensityOperator,
-    SupportTable,
-    born_probability,
-    common_eigenbasis,
-    is_operational_eigenstate,
-    joint_born_probability,
-    support_table,
-)
-from .realization import (
-    ArgumentType,
-    Realization,
-    classify_type,
-    collapse_edge,
-    enumerate_lemma_sweep,
-    hyperedge_realization,
-    is_hyperedge_based,
-    is_unique,
-    lemma_check,
-    run_type2_argument,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ArgumentType",
-    "ComplexMatrix",
-    "DensityOperator",
-    "GaussianRational",
-    "KSGraph",
-    "Measurement",
-    "ModelVerdict",
-    "OntologicalModel",
-    "OperationalTheory",
-    "ParityCertificate",
-    "PauliString",
-    "Phase",
-    "Realization",
-    "SupportTable",
-    "TheoremVerdict",
-    "admissible_tuples",
-    "born_probability",
-    "build_graph",
-    "classify_model",
-    "classify_type",
-    "collapse_edge",
-    "common_eigenbasis",
-    "commutes",
-    "derive_hyperedges",
-    "edge_product",
-    "eigenstate_preparations",
-    "enumerate_lemma_sweep",
-    "factorizes",
-    "from_quantum",
-    "hyperedge_realization",
-    "is_hyperedge_based",
-    "is_noncontextual",
-    "is_nondisturbing",
-    "is_operational_eigenstate",
-    "is_unique",
-    "is_value_definite",
-    "joint_born_probability",
-    "lemma_check",
-    "marginal",
-    "min_violation_fraction",
-    "multiply",
-    "parity_certificate",
-    "recovers",
-    "run_type2_argument",
-    "satisfies_spekkens",
-    "search_assignments",
-    "search_ncvd",
-    "spectral_projection",
-    "support",
-    "support_table",
-    "to_matrix",
-]
+# the module that defines each public name
+_HOME = {
+    "ComplexMatrix": "exact",
+    "GaussianRational": "exact",
+    "PauliString": "pauli",
+    "Phase": "pauli",
+    "commutes": "pauli",
+    "edge_product": "pauli",
+    "multiply": "pauli",
+    "spectral_projection": "pauli",
+    "to_matrix": "pauli",
+    "KSGraph": "graph",
+    "TheoremVerdict": "graph",
+    "ParityCertificate": "graph",
+    "admissible_tuples": "graph",
+    "build_graph": "graph",
+    "derive_hyperedges": "graph",
+    "parity_certificate": "graph",
+    "search_assignments": "graph",
+    "DensityOperator": "quantum",
+    "SupportTable": "quantum",
+    "born_probability": "quantum",
+    "common_eigenbasis": "quantum",
+    "is_operational_eigenstate": "quantum",
+    "joint_born_probability": "quantum",
+    "support_table": "quantum",
+    "Measurement": "operational",
+    "OperationalTheory": "operational",
+    "Realization": "operational",
+    "eigenstate_preparations": "operational",
+    "from_quantum": "operational",
+    "is_nondisturbing": "operational",
+    "marginal": "operational",
+    "support": "operational",
+    "ModelVerdict": "ontology",
+    "OntologicalModel": "ontology",
+    "classify_model": "ontology",
+    "factorizes": "ontology",
+    "is_noncontextual": "ontology",
+    "is_value_definite": "ontology",
+    "min_violation_fraction": "ontology",
+    "recovers": "ontology",
+    "satisfies_spekkens": "ontology",
+    "search_ncvd": "ontology",
+    "ArgumentType": "realization",
+    "classify_type": "realization",
+    "collapse_edge": "realization",
+    "enumerate_lemma_sweep": "realization",
+    "hyperedge_realization": "realization",
+    "is_hyperedge_based": "realization",
+    "is_unique": "realization",
+    "lemma_check": "realization",
+    "run_type2_argument": "realization",
+}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -384,8 +384,3 @@ CATALOG: dict[str, CatalogEntry] = {
         "disturbing",
     ),
 }
-
-
-def builtin_names() -> tuple[str, ...]:
-    return tuple(CATALOG)
-

@@ -15,8 +15,8 @@ import os
 import re
 import sys
 import time
+from typing import TYPE_CHECKING
 
-from . import catalog as catalog_mod
 from .errors import (
     BadArgumentError,
     CapExceededError,
@@ -25,11 +25,13 @@ from .errors import (
     MissingBlockError,
     ScenarioParseError,
 )
-from .graph import SEARCH_CAP, search_assignments
-from .ontology import min_violation_fraction, search_states
-from .operational import OperationalTheory, from_quantum
-from .realization import classify_type, lemma_check, run_type2_argument
+from .graph import SEARCH_CAP
 from .scenario import Scenario, load_scenario, scenario_to_dict
+
+# Each command imports its own engine, so a call loads only the modules its
+# verb uses.
+if TYPE_CHECKING:
+    from .operational import OperationalTheory
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -164,6 +166,8 @@ def _pick_realization(scenario: Scenario, name: str | None):
 
 
 def _theory_for(scenario: Scenario, realization_name: str | None) -> tuple[OperationalTheory, dict]:
+    from .operational import from_quantum
+
     if scenario.theory is not None:
         return scenario.theory, {"tables": "explicit"}
     graph = _require_graph(scenario)
@@ -178,6 +182,8 @@ def _theory_for(scenario: Scenario, realization_name: str | None) -> tuple[Opera
 
 
 def cmd_verify(args) -> Report:
+    from .graph import search_assignments
+
     scenario = load_scenario(args.scenario)
     graph = _require_graph(scenario)
     start = time.perf_counter()
@@ -212,6 +218,8 @@ def cmd_verify(args) -> Report:
 
 
 def cmd_classify(args) -> Report:
+    from .realization import classify_type, lemma_check
+
     scenario = load_scenario(args.scenario)
     graph = _require_graph(scenario)
     name, realization = _pick_realization(scenario, args.realization)
@@ -251,6 +259,8 @@ def cmd_classify(args) -> Report:
 
 
 def cmd_search_model(args) -> Report:
+    from .ontology import search_states
+
     scenario = load_scenario(args.scenario)
     theory, origin = _theory_for(scenario, args.realization)
     start = time.perf_counter()
@@ -300,6 +310,8 @@ def _parse_tuple(text: str) -> tuple[int, ...]:
 
 
 def cmd_ghz(args) -> Report:
+    from .realization import run_type2_argument
+
     scenario = load_scenario(args.scenario)
     graph = _require_graph(scenario)
     name, realization = _pick_realization(scenario, args.realization)
@@ -339,6 +351,8 @@ def cmd_ghz(args) -> Report:
 
 
 def cmd_robustness(args) -> Report:
+    from .ontology import min_violation_fraction
+
     scenario = load_scenario(args.scenario)
     theory, origin = _theory_for(scenario, args.realization)
     start = time.perf_counter()
@@ -361,13 +375,13 @@ def cmd_robustness(args) -> Report:
 
 
 def cmd_catalog(args) -> Report:
+    from .catalog import CATALOG
+
     start = time.perf_counter()
     if args.name:
-        if args.name not in catalog_mod.CATALOG:
-            raise BadArgumentError(
-                f"unknown builtin {args.name!r}; try: " + ", ".join(catalog_mod.builtin_names())
-            )
-        entry = catalog_mod.CATALOG[args.name]
+        if args.name not in CATALOG:
+            raise BadArgumentError(f"unknown builtin {args.name!r}; try: " + ", ".join(CATALOG))
+        entry = CATALOG[args.name]
         scenario = load_scenario(args.name)
         detail = scenario_to_dict(scenario)
         report = Report(
@@ -390,7 +404,7 @@ def cmd_catalog(args) -> Report:
         return report
     entries = [
         {"name": e.name, "kind": e.kind, "summary": e.summary}
-        for e in catalog_mod.CATALOG.values()
+        for e in CATALOG.values()
     ]
     report = Report(
         command="catalog",

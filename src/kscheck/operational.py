@@ -1,4 +1,5 @@
-"""Operational theories: measurements, comeasurability, probability tables.
+"""Operational theories: measurements, comeasurability, probability tables,
+and the realizations that tie graph vertices to measurements.
 
 A theory lists basic measurements, a comeasurability family (declared
 physical data, never inferred from commutation), preparations, and
@@ -20,7 +21,6 @@ from .quantum import DensityOperator, joint_distribution
 
 if TYPE_CHECKING:
     from .graph import KSGraph
-    from .realization import Realization
 
 NORMALIZATION_TOL = 1e-12
 TABLE_TOL = 1e-10
@@ -104,6 +104,54 @@ def _maximal_members(
     }
     candidates.discard(frozenset())
     return {j for j in candidates if not any(j < other for other in candidates)}
+
+
+class Realization:
+    """Association of vertices with measurement label sets.
+
+    ``function_tags`` optionally names which function of a shared
+    measurement realizes a given vertex (the f_i of a collapsed edge).
+    ``comeasurable`` is closed under nonempty subsets and always contains
+    every singleton.
+    """
+
+    def __init__(
+        self,
+        assoc: tuple[frozenset[str], ...],
+        comeasurable: frozenset[frozenset[str]],
+        function_tags: dict[tuple[int, str], str] | None = None,
+    ):
+        self.assoc = assoc
+        self.comeasurable = comeasurable
+        self.function_tags = {} if function_tags is None else function_tags
+
+    def __repr__(self):
+        return (
+            f"Realization(assoc={self.assoc!r}, comeasurable={self.comeasurable!r}, "
+            f"function_tags={self.function_tags!r})"
+        )
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    @classmethod
+    def build(
+        cls,
+        assoc: Sequence[Iterable[str]],
+        comeasurable: Iterable[Iterable[str]] = (),
+        function_tags: Mapping[tuple[int, str], str] | None = None,
+    ) -> "Realization":
+        normalized = tuple(frozenset(a) for a in assoc)
+        if any(not a for a in normalized):
+            raise ValueError("every vertex needs at least one measurement")
+        family = _close_family(comeasurable, set().union(*normalized))
+        return cls(normalized, family, dict(function_tags or {}))
+
+    @property
+    def measurement_labels(self) -> tuple[str, ...]:
+        return tuple(sorted(set().union(*self.assoc)))
 
 
 class OperationalTheory:
@@ -362,7 +410,7 @@ _PAULI_OUTCOMES = ((OUTCOME_PLUS, 1), (OUTCOME_MINUS, -1))
 def from_quantum(
     graph: "KSGraph",
     states: Mapping[str, DensityOperator],
-    realization: "Realization",
+    realization: Realization,
 ) -> OperationalTheory:
     """Fill an operational theory from Born-rule probabilities.
 

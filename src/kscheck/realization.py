@@ -1,7 +1,9 @@
 """Vertex-to-measurement associations and what they can prove.
 
 A realization maps each graph vertex to one or more measurement labels and
-declares which measurement sets are comeasurable.  Comeasurability is
+declares which measurement sets are comeasurable.  The ``Realization``
+class lives in ``operational``, so a scenario file can carry one without
+loading this module; it is re-exported here.  Comeasurability is
 physical data: it is never inferred from commutation (the helper
 ``commuting_realization`` exists precisely to build the one family where
 the two are stipulated to coincide).
@@ -15,64 +17,16 @@ from __future__ import annotations
 
 from itertools import product
 from math import prod
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import BadArgumentError, CapExceededError
 from .graph import SEARCH_CAP, KSGraph, check_cap, depth_first
-from .operational import OUTCOME_MINUS, OUTCOME_PLUS, _close_family, _family_support, from_quantum
+from .operational import OUTCOME_MINUS, OUTCOME_PLUS, Realization, _family_support, from_quantum
 from .pauli import all_commute, commutation_masks
 from .quantum import DensityOperator, born_probability, is_operational_eigenstate
 
 SWEEP_POOL_LIMIT = 12
 SWEEP_ASSOC_LIMIT = 2
-
-
-class Realization:
-    """Association of vertices with measurement label sets.
-
-    ``function_tags`` optionally names which function of a shared
-    measurement realizes a given vertex (the f_i of a collapsed edge).
-    ``comeasurable`` is closed under nonempty subsets and always contains
-    every singleton.
-    """
-
-    def __init__(
-        self,
-        assoc: tuple[frozenset[str], ...],
-        comeasurable: frozenset[frozenset[str]],
-        function_tags: dict[tuple[int, str], str] | None = None,
-    ):
-        self.assoc = assoc
-        self.comeasurable = comeasurable
-        self.function_tags = {} if function_tags is None else function_tags
-
-    def __repr__(self):
-        return (
-            f"Realization(assoc={self.assoc!r}, comeasurable={self.comeasurable!r}, "
-            f"function_tags={self.function_tags!r})"
-        )
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return vars(self) == vars(other)
-
-    @classmethod
-    def build(
-        cls,
-        assoc: Sequence[Iterable[str]],
-        comeasurable: Iterable[Iterable[str]] = (),
-        function_tags: Mapping[tuple[int, str], str] | None = None,
-    ) -> "Realization":
-        normalized = tuple(frozenset(a) for a in assoc)
-        if any(not a for a in normalized):
-            raise ValueError("every vertex needs at least one measurement")
-        family = _close_family(comeasurable, set().union(*normalized))
-        return cls(normalized, family, dict(function_tags or {}))
-
-    @property
-    def measurement_labels(self) -> tuple[str, ...]:
-        return tuple(sorted(set().union(*self.assoc)))
 
 
 def is_unique(realization: Realization) -> bool:

@@ -9,17 +9,25 @@ verdict.  Parse failures carry a JSON path to the offending location.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from .errors import InvalidGraphError, ScenarioParseError
 from .exact import ComplexMatrix, GaussianRational
 from .graph import KSGraph, build_graph
-from .ontology import OntologicalModel
-from .operational import Measurement, OperationalTheory, _maximal_members
-from .quantum import DensityOperator
-from .realization import Realization
+
+# Each block parser imports the module its block needs, so a call loads only
+# what its input carries.
+if TYPE_CHECKING:
+    from .ontology import OntologicalModel
+    from .operational import OperationalTheory, Realization
+    from .quantum import DensityOperator
+
+# The names ``load_scenario`` takes for ``builtin_scenario``; ``catalog.CATALOG``
+# describes each of them.
+BUILTIN_NAMES = ("peres-mermin", "ghz", "box-m1", "box-m2", "box-m3", "army")
 
 
 class Scenario:
@@ -122,6 +130,8 @@ def _parse_graph(doc: dict, path: str) -> KSGraph:
 
 
 def _parse_states(doc: Any, path: str) -> dict[str, DensityOperator]:
+    from .quantum import DensityOperator
+
     if not isinstance(doc, dict):
         _fail("'states' must map labels to state definitions", path)
     states = {}
@@ -172,6 +182,8 @@ def _parse_states(doc: Any, path: str) -> dict[str, DensityOperator]:
 
 
 def _parse_realization(doc: Any, labels: list[str], path: str) -> Realization:
+    from .operational import Realization
+
     if not isinstance(doc, dict) or "assoc" not in doc:
         _fail("realization needs an 'assoc' block", path)
     assoc_doc = doc["assoc"]
@@ -209,6 +221,8 @@ def _parse_realization(doc: Any, labels: list[str], path: str) -> Realization:
 
 
 def _parse_theory(doc: Any, path: str) -> OperationalTheory:
+    from .operational import Measurement, OperationalTheory
+
     if not isinstance(doc, dict):
         _fail("'tables' must be an object", path)
     raw_measurements = doc.get("measurements")
@@ -264,6 +278,8 @@ def _parse_theory(doc: Any, path: str) -> OperationalTheory:
 
 
 def _parse_model(doc: Any, theory: OperationalTheory, path: str) -> OntologicalModel:
+    from .ontology import OntologicalModel
+
     if not isinstance(doc, dict):
         _fail("model must be an object", path)
     ontic = doc.get("ontic_states")
@@ -338,9 +354,7 @@ def parse_scenario(doc: Any, digest: str) -> Scenario:
 
 def load_scenario(source: str) -> Scenario:
     """Load a builtin by name or a scenario JSON file by path."""
-    from . import catalog
-
-    if source in catalog.builtin_names():
+    if source in BUILTIN_NAMES:
         return builtin_scenario(source)
     try:
         raw = Path(source).read_bytes()
@@ -356,9 +370,16 @@ def load_scenario(source: str) -> Scenario:
         _fail(f"invalid JSON: {exc}", "$")
     except RecursionError:
         _fail("invalid JSON: nested too deeply", "$")
-    import hashlib  # only file inputs hash their bytes; builtins skip the import
-
-    return parse_scenario(doc, digest=hashlib.sha256(raw).hexdigest())
+    # only file inputs hash their bytes, and the builtin module spares them
+    # hashlib's load of OpenSSL
+    try:
+        if sys.version_info >= (3, 12):
+            from _sha2 import sha256
+        else:
+            from _sha256 import sha256
+    except ImportError:  # an interpreter built without the module
+        from hashlib import sha256
+    return parse_scenario(doc, digest=sha256(raw).hexdigest())
 
 
 # -- builtins and serialization ----------------------------------------------
@@ -440,6 +461,8 @@ def scenario_to_dict(scenario: Scenario) -> dict:
             states[label] = {"density": rows}
         doc["states"] = states
     if scenario.realizations:
+        from .operational import _maximal_members
+
         blocks = {}
         for rname, realization in scenario.realizations.items():
             assert graph is not None

@@ -217,7 +217,8 @@ class TestSearchModel:
         def second_search(*args, **kwargs):
             raise AssertionError("min_violation_fraction called after a model was found")
 
-        monkeypatch.setattr(cli, "min_violation_fraction", second_search)
+        # the commands import their engines when they run, from ontology
+        monkeypatch.setattr(ontology, "min_violation_fraction", second_search)
         code, out, _ = run(capsys, "search-model", "box-m1", "--json")
         doc = json.loads(out)
         assert code == 0
@@ -457,7 +458,8 @@ print(json.dumps([codes, exact_only, "numpy" in sys.modules]))
 
     def test_cold_call_loads_no_code_generation(self, tmp_path):
         """A built-in verdict loads neither dataclasses, inspect nor hashlib;
-        a file input loads hashlib for its digest."""
+        a file input digests its bytes without hashlib where the builtin
+        SHA-256 module exists."""
         path = tmp_path / "single-edge.json"
         path.write_text(json.dumps(SINGLE_EDGE))
         script = """
@@ -469,7 +471,10 @@ with contextlib.redirect_stdout(io.StringIO()):
 added = sorted({"dataclasses", "inspect", "hashlib"} & (set(sys.modules) - before))
 from kscheck.scenario import load_scenario
 digest = load_scenario(sys.argv[1]).digest
-print(json.dumps([code, added, "hashlib" in sys.modules, digest]))
+hashlib_loaded = "hashlib" in sys.modules
+from importlib.util import find_spec
+builtin = any(find_spec(name) for name in ("_sha2", "_sha256"))
+print(json.dumps([code, added, hashlib_loaded, builtin, digest]))
 """
         src = str(Path(kscheck.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
@@ -481,11 +486,51 @@ print(json.dumps([code, added, "hashlib" in sys.modules, digest]))
             timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        code, added, hashlib_loaded, digest = json.loads(proc.stdout)
+        code, added, hashlib_loaded, builtin, digest = json.loads(proc.stdout)
         assert code == 0
         assert added == [], f"a built-in verdict imported {added}"
-        assert hashlib_loaded, "a file input should load hashlib"
+        assert not (builtin and hashlib_loaded), "a file digest loaded hashlib"
         assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_file_calls_load_only_their_modules(self, capsys, tmp_path):
+        """``import kscheck`` loads no submodule; verify on a file loads no
+        ontology, and neither verify nor robustness loads realization or
+        catalog."""
+        path = tmp_path / "pm.json"
+        path.write_text(json.dumps(builtin_doc(capsys, "peres-mermin")))
+        script = """
+import contextlib, io, json, sys
+def ours():
+    return sorted(name for name in sys.modules if name.startswith("kscheck."))
+import kscheck
+bare = ours()
+from kscheck import cli
+loaded = {}
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (["verify"], ["robustness", "--realization", "full"]):
+        code = cli.main([argv[0], sys.argv[1], *argv[1:], "--json"])
+        loaded[argv[0]] = [code, ours()]
+print(json.dumps([bare, loaded]))
+"""
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(path)],
+            capture_output=True,
+            text=True,
+            env=child_env(),
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        bare, loaded = json.loads(proc.stdout)
+        assert bare == []
+        (verify_code, after_verify), (robust_code, after_robust) = (
+            loaded["verify"], loaded["robustness"]
+        )
+        assert verify_code == robust_code == 0
+        assert "kscheck.graph" in after_verify
+        assert "kscheck.ontology" not in after_verify
+        assert "kscheck.ontology" in after_robust
+        for name in ("kscheck.realization", "kscheck.catalog"):
+            assert name not in after_robust, f"a file call loaded {name}"
 
     def test_invalid_graph_exit_three(self, capsys, tmp_path):
         doc = {

@@ -1,6 +1,8 @@
 """Scenario files: parsing, diagnostics, round-trips."""
 
+import hashlib
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -41,6 +43,18 @@ class TestParsing:
         scenario = load_scenario(str(path))
         assert scenario.graph.labels == ("a", "b", "c")
         assert scenario.digest != ""
+
+    @pytest.mark.parametrize("builtin", [True, False])
+    def test_file_digest_is_sha256(self, tmp_path, monkeypatch, builtin):
+        """The digest is SHA-256 of the file's bytes, from hashlib where the
+        interpreter has no builtin SHA-256 module."""
+        if not builtin:
+            for name in ("_sha2", "_sha256"):
+                monkeypatch.setitem(sys.modules, name, None)  # import raises
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(MINIMAL_GRAPH))
+        digest = load_scenario(str(path)).digest
+        assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
 
     def test_bad_json_is_positioned(self, tmp_path):
         path = tmp_path / "broken.json"
