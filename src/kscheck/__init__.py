@@ -14,7 +14,8 @@ The package splits the job the way the arguments themselves do:
   statistics-equivalence (Spekkens) checks, model existence search;
 - ``realization``: argument types I/II/III, the uniqueness lemma, the
   state-dependent pipeline;
-- ``catalog`` / ``scenario`` / ``cli``: built-ins, files and commands.
+- ``catalog`` / ``scenario`` / ``scenario_json`` / ``cli``: built-ins, the
+  scenarios a call reads, the JSON file form, and commands.
 
 The names in ``__all__`` load their module on first use (PEP 562), so
 ``import kscheck`` loads no submodule and a command loads only the modules

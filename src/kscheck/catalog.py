@@ -2,21 +2,23 @@
 states, and the three box-model fixtures plus the army example.
 
 All probabilities here are exact Fractions, so downstream verdicts carry
-no floating-point noise.
+no floating-point noise.  Each builder imports the engine modules it needs
+on first use and caches what it builds, so importing the catalog loads only
+the graph layer, and a call builds only the blocks it reads.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .exact import ComplexMatrix
 from .graph import KSGraph, build_graph
-from .ontology import OntologicalModel
-from .operational import Measurement, OperationalTheory, from_quantum
-from .quantum import DensityOperator
-from .realization import Realization, hyperedge_realization
+
+if TYPE_CHECKING:
+    from .ontology import OntologicalModel
+    from .operational import OperationalTheory, Realization
+    from .quantum import DensityOperator
 
 # -- Peres-Mermin square --------------------------------------------------------
 
@@ -58,6 +60,8 @@ def _edge_label_sets(graph: KSGraph, edge_indices) -> list[tuple[str, ...]]:
 @lru_cache(maxsize=None)
 def pm_full_realization() -> Realization:
     """Nine distinct measurements, every line comeasurable."""
+    from .operational import Realization
+
     graph = peres_mermin_graph()
     return Realization.build(
         [{label} for label, _ in graph.vertices],
@@ -69,6 +73,8 @@ def pm_full_realization() -> Realization:
 def pm_spin_realization() -> Realization:
     """Stern-Gerlach pair measurements: only the first two rows and the
     first two columns are jointly performable."""
+    from .operational import Realization
+
     graph = peres_mermin_graph()
     return Realization.build(
         [{label} for label, _ in graph.vertices],
@@ -79,11 +85,16 @@ def pm_spin_realization() -> Realization:
 @lru_cache(maxsize=None)
 def pm_hyperedge_realization() -> Realization:
     """Six measurements, one per line; comeasurable iff commuting."""
+    from .realization import hyperedge_realization
+
     return hyperedge_realization(peres_mermin_graph())
 
 
 @lru_cache(maxsize=None)
 def pm_states() -> dict[str, DensityOperator]:
+    from .exact import ComplexMatrix
+    from .quantum import DensityOperator
+
     z00 = ComplexMatrix(
         [[1 if i == j == 0 else 0 for j in range(4)] for i in range(4)]
     )
@@ -95,6 +106,8 @@ def pm_states() -> dict[str, DensityOperator]:
 
 @lru_cache(maxsize=None)
 def pm_theory(realization: str = "full") -> OperationalTheory:
+    from .operational import from_quantum
+
     chosen = {"full": pm_full_realization, "spin": pm_spin_realization}[realization]()
     return from_quantum(peres_mermin_graph(), pm_states(), chosen)
 
@@ -133,6 +146,8 @@ def ghz_graph() -> KSGraph:
 
 @lru_cache(maxsize=None)
 def ghz_full_realization() -> Realization:
+    from .operational import Realization
+
     graph = ghz_graph()
     return Realization.build(
         [{label} for label, _ in graph.vertices],
@@ -144,6 +159,8 @@ def ghz_full_realization() -> Realization:
 def ghz_standard_realization() -> Realization:
     """Spacelike-separated single-particle measurements: the four outer
     lines are comeasurable, the horizontal product line is not."""
+    from .operational import Realization
+
     graph = ghz_graph()
     return Realization.build(
         [{label} for label, _ in graph.vertices],
@@ -153,6 +170,9 @@ def ghz_standard_realization() -> Realization:
 
 @lru_cache(maxsize=None)
 def ghz_states() -> dict[str, DensityOperator]:
+    from .exact import ComplexMatrix
+    from .quantum import DensityOperator
+
     half = Fraction(1, 2)
     rows = [[0] * 8 for _ in range(8)]
     for i in (0, 7):
@@ -166,6 +186,8 @@ def ghz_states() -> dict[str, DensityOperator]:
 
 @lru_cache(maxsize=None)
 def ghz_theory(realization: str = "full") -> OperationalTheory:
+    from .operational import from_quantum
+
     chosen = {"full": ghz_full_realization, "standard": ghz_standard_realization}[
         realization
     ]()
@@ -174,8 +196,6 @@ def ghz_theory(realization: str = "full") -> OperationalTheory:
 
 # -- box models -------------------------------------------------------------------
 
-COLOR = Measurement("color", (("black", 1), ("white", -1)))
-SIZE = Measurement("size", (("big", 1), ("small", -1)))
 _BOX_FAMILY = (("color", "size"),)
 _JOINT = frozenset({"color", "size"})
 
@@ -185,6 +205,21 @@ class BoxFixture(NamedTuple):
     theory: OperationalTheory
     model: OntologicalModel
     note: str
+
+
+def _box_fixture(name, tables, ontic, weights, responses, note) -> BoxFixture:
+    """The box theory with ``tables`` over two preparations, and the model
+    with ``ontic`` states, preparation ``weights`` and ``responses``."""
+    from .ontology import OntologicalModel
+    from .operational import Measurement, OperationalTheory
+
+    basics = (
+        Measurement("color", (("black", 1), ("white", -1))),
+        Measurement("size", (("big", 1), ("small", -1))),
+    )
+    theory = OperationalTheory(basics, _BOX_FAMILY, ("r1", "r2"), tables)
+    model = OntologicalModel(basics, _BOX_FAMILY, ontic, weights, responses)
+    return BoxFixture(name, theory, model, note)
 
 
 def _joint_table(weights: dict[tuple[str, str], Fraction]):
@@ -229,18 +264,12 @@ def box_m1() -> BoxFixture:
             for r in q
         }
     }
-    theory = OperationalTheory((COLOR, SIZE), _BOX_FAMILY, ("r1", "r2"), tables)
-    model = OntologicalModel(
-        (COLOR, SIZE),
-        _BOX_FAMILY,
+    return _box_fixture(
+        "box-m1",
+        tables,
         ("bb", "ws"),
         {r: {"bb": q[r], "ws": 1 - q[r]} for r in q},
         _ball_responses(("bb", "ws")),
-    )
-    return BoxFixture(
-        "box-m1",
-        theory,
-        model,
         "two ball types; noncontextual and response-symmetric",
     )
 
@@ -260,18 +289,12 @@ def box_m2() -> BoxFixture:
             for r in weights
         }
     }
-    theory = OperationalTheory((COLOR, SIZE), _BOX_FAMILY, ("r1", "r2"), tables)
-    model = OntologicalModel(
-        (COLOR, SIZE),
-        _BOX_FAMILY,
+    return _box_fixture(
+        "box-m2",
+        tables,
         ("bb", "bs", "wb", "ws"),
         weights,
         _ball_responses(("bb", "bs", "wb", "ws")),
-    )
-    return BoxFixture(
-        "box-m2",
-        theory,
-        model,
         "four ball types with matched black/big statistics; noncontextual "
         "but response-asymmetric",
     )
@@ -295,18 +318,12 @@ def box_m3() -> BoxFixture:
             r: {("big",): q[r], ("small",): 1 - q[r]} for r in q
         },
     }
-    theory = OperationalTheory((COLOR, SIZE), _BOX_FAMILY, ("r1", "r2"), tables)
-    model = OntologicalModel(
-        (COLOR, SIZE),
-        _BOX_FAMILY,
+    return _box_fixture(
+        "box-m3",
+        tables,
         ("bb", "ws"),
         {r: {"bb": q[r], "ws": 1 - q[r]} for r in q},
         _ball_responses(("bb", "ws"), joint_flip=True),
-    )
-    return BoxFixture(
-        "box-m3",
-        theory,
-        model,
         "joint measurement flips the ball type; contextual model over a "
         "disturbing theory",
     )
@@ -316,6 +333,8 @@ def box_m3() -> BoxFixture:
 def army_theory() -> OperationalTheory:
     """Shooting and tightrope walking are jointly performable, but walking
     the rope wrecks the shooting statistics: comeasurable yet disturbing."""
+    from .operational import Measurement, OperationalTheory
+
     shooting = Measurement("shooting", (("hit", 1), ("miss", -1)))
     rope = Measurement("rope", (("pass", 1), ("fall", -1)))
     joint = frozenset({"shooting", "rope"})

@@ -26,7 +26,7 @@ from .errors import (
     ScenarioParseError,
 )
 from .graph import SEARCH_CAP
-from .scenario import Scenario, load_scenario, scenario_to_dict
+from .scenario import Scenario, load_scenario
 
 # Each command imports its own engine, so a call loads only the modules its
 # verb uses.
@@ -169,6 +169,10 @@ def _theory_for(scenario: Scenario, realization_name: str | None) -> tuple[Opera
     from .operational import from_quantum
 
     if scenario.theory is not None:
+        if realization_name is not None:
+            raise BadArgumentError(
+                f"scenario {scenario.name!r} has explicit tables; --realization does not apply"
+            )
         return scenario.theory, {"tables": "explicit"}
     graph = _require_graph(scenario)
     if not scenario.states:
@@ -381,6 +385,8 @@ def cmd_catalog(args) -> Report:
     if args.name:
         if args.name not in CATALOG:
             raise BadArgumentError(f"unknown builtin {args.name!r}; try: " + ", ".join(CATALOG))
+        from .scenario_json import scenario_to_dict
+
         entry = CATALOG[args.name]
         scenario = load_scenario(args.name)
         detail = scenario_to_dict(scenario)

@@ -17,10 +17,12 @@ from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import InvalidGraphError, MarginalAmbiguityError
 from .pauli import check_commuting
-from .quantum import DensityOperator, joint_distribution
 
+# ``from_quantum`` imports the Born rule where it fills tables, so explicit
+# tables load no quantum module
 if TYPE_CHECKING:
     from .graph import KSGraph
+    from .quantum import DensityOperator
 
 NORMALIZATION_TOL = 1e-12
 TABLE_TOL = 1e-10
@@ -419,6 +421,8 @@ def from_quantum(
     realization.  Joint tables exist precisely for the family's maximal
     members; edges whose measurements are not comeasurable get none.
     """
+    from .quantum import joint_distribution
+
     n = graph.n_vertices
     labels = []
     for v in range(n):

@@ -14,9 +14,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
-from .exact import ComplexMatrix
+# the dense oracle imports the exact matrices where it builds them
+if TYPE_CHECKING:
+    from .exact import ComplexMatrix
 
 # Born tables sweep O(2^n) entries per Pauli product, and the dense 2^n x 2^n
 # oracle matrices stay affordable too; all shipped scenarios need <= 3.
@@ -263,7 +265,7 @@ def commutes(a: PauliString, b: PauliString) -> bool:
 
 @lru_cache(maxsize=None)
 def _letter_matrix(letter: str) -> ComplexMatrix:
-    from .exact import GaussianRational
+    from .exact import ComplexMatrix, GaussianRational
 
     i = GaussianRational(0, 1)
     table = {
@@ -292,6 +294,8 @@ def spectral_projection(p: PauliString, eigenvalue: int) -> ComplexMatrix:
 
     Requires a hermitian, non-identity word (so both eigenvalues occur).
     """
+    from .exact import ComplexMatrix
+
     if eigenvalue not in (1, -1):
         raise ValueError(f"eigenvalue must be +1 or -1, got {eigenvalue!r}")
     check_two_valued(p)

@@ -17,13 +17,16 @@ from __future__ import annotations
 
 from itertools import product
 from math import prod
-from typing import Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .errors import BadArgumentError, CapExceededError
 from .graph import SEARCH_CAP, KSGraph, check_cap, depth_first
 from .operational import OUTCOME_MINUS, OUTCOME_PLUS, Realization, _family_support, from_quantum
 from .pauli import all_commute, commutation_masks
-from .quantum import DensityOperator, born_probability, is_operational_eigenstate
+
+# only the type II pipeline prepares states; it imports the Born rule itself
+if TYPE_CHECKING:
+    from .quantum import DensityOperator
 
 SWEEP_POOL_LIMIT = 12
 SWEEP_ASSOC_LIMIT = 2
@@ -447,6 +450,8 @@ def run_type2_argument(
     the pinned edge's sign as inverted (no eigenstate exists for that, so
     step 1 is skipped) and must make the search satisfiable.
     """
+    from .quantum import DensityOperator, born_probability, is_operational_eigenstate
+
     kind = classify_type(graph, realization)
     if kind.kind != "II":
         raise BadArgumentError(

@@ -1,8 +1,26 @@
+import os
 from pathlib import Path
 
 import pytest
 
+import kscheck
 from kscheck import catalog
+
+
+@pytest.fixture
+def child_env():
+    """``child_env(**extra)``: the environment of a child interpreter that
+    imports this checkout's kscheck, with ``extra`` variables set."""
+    src = str(Path(kscheck.__file__).resolve().parents[1])
+
+    def env(**extra):
+        return {
+            **os.environ,
+            "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", ""),
+            **extra,
+        }
+
+    return env
 
 
 @pytest.fixture(scope="session")

@@ -2,17 +2,14 @@
 
 import hashlib
 import json
-import os
 import re
 import resource
 import subprocess
 import sys
 from itertools import product
-from pathlib import Path
 
 import pytest
 
-import kscheck
 from kscheck import cli, ontology
 from kscheck.catalog import PM_EDGES, PM_VERTICES
 from kscheck.cli import Report, main
@@ -62,13 +59,15 @@ def builtin_doc(capsys, name):
     return json.loads(out)["verdicts"]["scenario"]
 
 
-def child_env(**extra):
-    src = str(Path(kscheck.__file__).resolve().parents[1])
-    return {
-        **os.environ,
-        "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", ""),
-        **extra,
-    }
+# run one CLI call on sys.argv[1:] and print its exit code and the kscheck
+# modules it loaded
+LOADED_MODULES = """
+import contextlib, io, json, sys
+from kscheck import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(json.dumps([code, sorted(n for n in sys.modules if n.startswith("kscheck."))]))
+"""
 
 
 class TestVerify:
@@ -175,6 +174,17 @@ class TestSearchModel:
         assert code == 0
         assert doc["verdicts"]["satisfiable"] is True
         assert set(doc["verdicts"]["model_states"]) == {"black,big", "white,small"}
+
+    @pytest.mark.parametrize("verb", ["search-model", "robustness"])
+    @pytest.mark.parametrize("realization", ["nope", "full"])
+    def test_realization_on_explicit_tables_exit_six(self, capsys, verb, realization):
+        code, out, err = run(capsys, verb, "box-m1", "--realization", realization)
+        assert code == 6
+        assert out == ""
+        assert err == (
+            "bad argument: scenario 'box-m1' has explicit tables; "
+            "--realization does not apply\n"
+        )
 
     def test_cap_exit_five(self, capsys):
         code, _, err = run(
@@ -399,21 +409,19 @@ class TestExitCodesAndDeterminism:
                 assert code == 2, (key, verb)
                 assert f"$.realizations.r.{key}:" in err
 
-    def test_closed_pipe_exits_quietly(self):
-        src = str(Path(kscheck.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    def test_closed_pipe_exits_quietly(self, child_env):
         proc = subprocess.Popen(
             [sys.executable, "-m", "kscheck.cli", "catalog", "peres-mermin", "--json"],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
-            env=env,
+            env=child_env(),
         )
         proc.stdout.close()  # the reader goes away before the report is written
         err = proc.stderr.read().decode()
         assert proc.wait(timeout=60) == 0
         assert "Traceback" not in err
 
-    def test_exact_inputs_never_import_numpy(self, tmp_path):
+    def test_exact_inputs_never_import_numpy(self, tmp_path, child_env):
         """Every verb on the built-ins runs without numpy; a float state loads it."""
         doc = {**SINGLE_EDGE, "states": {"psi": {"vector": [1, 0, 0, 0]}}}
         path = tmp_path / "vector.json"
@@ -441,13 +449,11 @@ with contextlib.redirect_stdout(io.StringIO()):
     codes.append(cli.main(["verify", sys.argv[1]]))
 print(json.dumps([codes, exact_only, "numpy" in sys.modules]))
 """
-        src = str(Path(kscheck.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
         proc = subprocess.run(
             [sys.executable, "-c", script, str(path)],
             capture_output=True,
             text=True,
-            env=env,
+            env=child_env(),
             timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
@@ -456,7 +462,7 @@ print(json.dumps([codes, exact_only, "numpy" in sys.modules]))
         assert exact_only, "numpy was imported on the exact path"
         assert float_loaded, "a vector state should load numpy"
 
-    def test_cold_call_loads_no_code_generation(self, tmp_path):
+    def test_cold_call_loads_no_code_generation(self, tmp_path, child_env):
         """A built-in verdict loads neither dataclasses, inspect nor hashlib;
         a file input digests its bytes without hashlib where the builtin
         SHA-256 module exists."""
@@ -476,13 +482,11 @@ from importlib.util import find_spec
 builtin = any(find_spec(name) for name in ("_sha2", "_sha256"))
 print(json.dumps([code, added, hashlib_loaded, builtin, digest]))
 """
-        src = str(Path(kscheck.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
         proc = subprocess.run(
             [sys.executable, "-c", script, str(path)],
             capture_output=True,
             text=True,
-            env=env,
+            env=child_env(),
             timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
@@ -492,7 +496,7 @@ print(json.dumps([code, added, hashlib_loaded, builtin, digest]))
         assert not (builtin and hashlib_loaded), "a file digest loaded hashlib"
         assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
 
-    def test_file_calls_load_only_their_modules(self, capsys, tmp_path):
+    def test_file_calls_load_only_their_modules(self, capsys, tmp_path, child_env):
         """``import kscheck`` loads no submodule; verify on a file loads no
         ontology, and neither verify nor robustness loads realization or
         catalog."""
@@ -532,6 +536,34 @@ print(json.dumps([bare, loaded]))
         for name in ("kscheck.realization", "kscheck.catalog"):
             assert name not in after_robust, f"a file call loaded {name}"
 
+        # each built-in call in a fresh interpreter: only the blocks its verb
+        # reads are built, and only their engines load
+        graph_only = (
+            "quantum", "operational", "realization", "ontology", "exact", "scenario_json"
+        )
+        unloaded_by_call = [
+            (["verify", "peres-mermin"], graph_only),
+            (["verify", "ghz"], graph_only),
+            (["catalog"], graph_only),
+            (["classify", "ghz", "--realization", "standard"], ("quantum", "ontology")),
+            (["search-model", "box-m1"], ("quantum", "realization")),
+            (["robustness", "ghz", "--realization", "full"], ("realization",)),
+        ]
+        for argv, unloaded in unloaded_by_call:
+            proc = subprocess.run(
+                [sys.executable, "-c", LOADED_MODULES, *argv],
+                capture_output=True,
+                text=True,
+                env=child_env(),
+                timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            code, loaded = json.loads(proc.stdout)
+            assert code == 0, argv
+            assert "kscheck.catalog" in loaded, argv
+            for name in unloaded:
+                assert f"kscheck.{name}" not in loaded, f"{argv} loaded {name}"
+
     def test_invalid_graph_exit_three(self, capsys, tmp_path):
         doc = {
             "name": "bad",
@@ -570,7 +602,7 @@ print(json.dumps([bare, loaded]))
         assert re.fullmatch(r"cap exceeded: \d+ search variables exceed the cap of 4\n", err)
 
     @pytest.mark.parametrize("verb", ["verify", "ghz"])
-    def test_wide_edge_refused_before_any_work(self, tmp_path, verb):
+    def test_wide_edge_refused_before_any_work(self, tmp_path, verb, child_env):
         # the 31 Z-type words on 5 qubits form one edge (each qubit's Z occurs
         # 16 times); its 2^30 admissible tuples, or the 2^31 subset products
         # that check its eigenstate, would exhaust the child's 1 GB limit
@@ -586,13 +618,11 @@ print(json.dumps([bare, loaded]))
         }
         path = tmp_path / "z-words.json"
         path.write_text(json.dumps(doc))
-        src = str(Path(kscheck.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
         proc = subprocess.run(
             [sys.executable, "-m", "kscheck.cli", verb, str(path)],
             capture_output=True,
             text=True,
-            env=env,
+            env=child_env(),
             timeout=60,
             preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)),
         )
@@ -717,7 +747,7 @@ print(json.dumps([bare, loaded]))
         assert out == ""
         assert err == "invalid graph: vertex d: +II is not a two-valued hermitian observable\n"
 
-    def test_noncommuting_comeasurable_error_is_deterministic(self, capsys, tmp_path):
+    def test_noncommuting_comeasurable_error_is_deterministic(self, capsys, tmp_path, child_env):
         doc = builtin_doc(capsys, "peres-mermin")
         doc["realizations"] = {"r": {"assoc": {label: [label] for label in "abcdefghi"},
                                      "comeasurable": [["a", "b", "c", "e", "f"]]}}

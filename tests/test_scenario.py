@@ -2,19 +2,18 @@
 
 import hashlib
 import json
+import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
 
+from kscheck import catalog
+from kscheck.cli import Report, main
 from kscheck.errors import InvalidGraphError, ScenarioParseError
 from kscheck.exact import ComplexMatrix
-from kscheck.scenario import (
-    builtin_scenario,
-    load_scenario,
-    parse_scenario,
-    scenario_to_dict,
-)
+from kscheck.scenario import BUILTIN_NAMES, Scenario, builtin_scenario, load_scenario
+from kscheck.scenario_json import parse_scenario, scenario_to_dict
 
 MINIMAL_GRAPH = {
     "name": "single-edge",
@@ -203,10 +202,106 @@ class TestParsing:
         assert reason in err.value.reason
 
 
-class TestBuiltinsRoundTrip:
-    @pytest.mark.parametrize(
-        "name", ["peres-mermin", "ghz", "box-m1", "box-m2", "box-m3", "army"]
+def eager_builtin(name: str) -> Scenario:
+    """The built-in with every block built at once, in plain dicts."""
+    digest = f"builtin:{name}"
+    if name == "peres-mermin":
+        return Scenario(
+            name,
+            digest,
+            catalog.peres_mermin_graph(),
+            dict(catalog.pm_states()),
+            {
+                "full": catalog.pm_full_realization(),
+                "spin": catalog.pm_spin_realization(),
+                "hyperedge": catalog.pm_hyperedge_realization(),
+            },
+        )
+    if name == "ghz":
+        return Scenario(
+            name,
+            digest,
+            catalog.ghz_graph(),
+            dict(catalog.ghz_states()),
+            {
+                "full": catalog.ghz_full_realization(),
+                "standard": catalog.ghz_standard_realization(),
+            },
+        )
+    if name == "army":
+        return Scenario(name, digest, theory=catalog.army_theory())
+    fixture = {"box-m1": catalog.box_m1, "box-m2": catalog.box_m2, "box-m3": catalog.box_m3}[name]()
+    return Scenario(
+        name, digest, theory=fixture.theory, models={name.replace("box-", ""): fixture.model}
     )
+
+
+# every catalog builder a built-in's states or realizations read
+BLOCK_BUILDERS = (
+    "pm_states",
+    "pm_full_realization",
+    "pm_spin_realization",
+    "pm_hyperedge_realization",
+    "ghz_states",
+    "ghz_full_realization",
+    "ghz_standard_realization",
+)
+
+
+class TestBuiltinsRoundTrip:
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_lazy_blocks_equal_eager_ones(self, name):
+        lazy, eager = builtin_scenario(name), eager_builtin(name)
+        assert lazy == eager
+        assert eager == lazy
+
+    def test_names_build_nothing(self, monkeypatch):
+        built = []
+        for attr in BLOCK_BUILDERS:
+            monkeypatch.setattr(catalog, attr, lambda attr=attr: built.append(attr))
+        pm, ghz = builtin_scenario("peres-mermin"), builtin_scenario("ghz")
+        assert (len(pm.states), sorted(pm.states)) == (2, ["mixed", "z00"])
+        assert (len(pm.realizations), list(pm.realizations)) == (3, ["full", "spin", "hyperedge"])
+        assert list(ghz.realizations.keys()) == ["full", "standard"]
+        assert "spin" in pm.realizations and "spin" not in ghz.realizations
+        assert "ghz" in ghz.states and "z00" not in ghz.states
+        assert pm.states and ghz.realizations
+        assert built == []
+        ghz.realizations["standard"]
+        assert built == ["ghz_standard_realization"]
+
+    def test_spin_realization_loads_no_realization_module(self, child_env):
+        script = """
+import json, sys
+from kscheck.scenario import builtin_scenario
+spin = builtin_scenario("peres-mermin").realizations["spin"]
+print(json.dumps([len(spin.assoc), "kscheck.realization" in sys.modules]))
+"""
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=child_env(),
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [9, False]
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_catalog_json_is_the_eager_dump(self, capsys, name):
+        assert main(["catalog", name, "--json"]) == 0
+        out = capsys.readouterr().out
+        entry = catalog.CATALOG[name]
+        expected = Report(
+            command="catalog",
+            inputs={"source": name, "digest": f"builtin:{name}"},
+            verdicts={"name": entry.name, "kind": entry.kind, "summary": entry.summary,
+                      "scenario": scenario_to_dict(eager_builtin(name))},
+            timing_s=json.loads(out)["timing_s"],
+        )
+        assert out == expected.to_json() + "\n"
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_serialize_parse_cycle(self, name):
         original = builtin_scenario(name)
         doc = json.loads(json.dumps(scenario_to_dict(original)))
