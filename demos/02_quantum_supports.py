@@ -17,7 +17,8 @@ from kscheck import (
     support_table,
 )
 from kscheck.catalog import peres_mermin_graph, pm_states
-from kscheck.quantum import DensityOperator, joint_projection
+from kscheck.quantum import joint_projection
+from kscheck.state import DensityOperator
 
 
 def main():

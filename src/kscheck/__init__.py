@@ -7,6 +7,7 @@ The package splits the job the way the arguments themselves do:
 - ``graph``: hypergraphs of commuting observables, the one depth-first
   constraint search, and FUNC value assignments, solved as a GF(2) parity
   system, with parity certificates;
+- ``state``: density operators, exact (validated exactly) or floating point;
 - ``quantum``: Born-rule probabilities, support tables, common eigenbases;
 - ``operational``: measurements, comeasurability, realizations (the
   vertex-measurement associations), probability tables, no-disturbance;
@@ -45,7 +46,7 @@ _HOME = {
     "derive_hyperedges": "graph",
     "parity_certificate": "graph",
     "search_assignments": "graph",
-    "DensityOperator": "quantum",
+    "DensityOperator": "state",
     "SupportTable": "quantum",
     "born_probability": "quantum",
     "common_eigenbasis": "quantum",

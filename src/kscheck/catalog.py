@@ -10,15 +10,15 @@ the graph layer, and a call builds only the blocks it reads.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from typing import TYPE_CHECKING, NamedTuple
+from functools import lru_cache, partial
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .graph import KSGraph, build_graph
 
 if TYPE_CHECKING:
     from .ontology import OntologicalModel
     from .operational import OperationalTheory, Realization
-    from .quantum import DensityOperator
+    from .state import DensityOperator
 
 # -- Peres-Mermin square --------------------------------------------------------
 
@@ -91,17 +91,26 @@ def pm_hyperedge_realization() -> Realization:
 
 
 @lru_cache(maxsize=None)
-def pm_states() -> dict[str, DensityOperator]:
+def _maximally_mixed(dim: int) -> DensityOperator:
+    from .state import DensityOperator
+
+    return DensityOperator.maximally_mixed(dim)
+
+
+@lru_cache(maxsize=None)
+def pm_z00_state() -> DensityOperator:
     from .exact import ComplexMatrix
-    from .quantum import DensityOperator
+    from .state import DensityOperator
 
     z00 = ComplexMatrix(
         [[1 if i == j == 0 else 0 for j in range(4)] for i in range(4)]
     )
-    return {
-        "mixed": DensityOperator.maximally_mixed(4),
-        "z00": DensityOperator.from_exact(z00),
-    }
+    return DensityOperator.from_exact(z00)
+
+
+@lru_cache(maxsize=None)
+def pm_states() -> dict[str, DensityOperator]:
+    return {label: build() for label, build in graph_blocks()["peres-mermin"].states.items()}
 
 
 @lru_cache(maxsize=None)
@@ -169,19 +178,21 @@ def ghz_standard_realization() -> Realization:
 
 
 @lru_cache(maxsize=None)
-def ghz_states() -> dict[str, DensityOperator]:
+def ghz_state() -> DensityOperator:
     from .exact import ComplexMatrix
-    from .quantum import DensityOperator
+    from .state import DensityOperator
 
     half = Fraction(1, 2)
     rows = [[0] * 8 for _ in range(8)]
     for i in (0, 7):
         for j in (0, 7):
             rows[i][j] = half
-    return {
-        "mixed": DensityOperator.maximally_mixed(8),
-        "ghz": DensityOperator.from_exact(ComplexMatrix(rows)),
-    }
+    return DensityOperator.from_exact(ComplexMatrix(rows))
+
+
+@lru_cache(maxsize=None)
+def ghz_states() -> dict[str, DensityOperator]:
+    return {label: build() for label, build in graph_blocks()["ghz"].states.items()}
 
 
 @lru_cache(maxsize=None)
@@ -192,6 +203,42 @@ def ghz_theory(realization: str = "full") -> OperationalTheory:
         realization
     ]()
     return from_quantum(ghz_graph(), ghz_states(), chosen)
+
+
+# -- block names --------------------------------------------------------------------
+
+
+class GraphBlocks(NamedTuple):
+    """A graph built-in's builders: its graph, and its states and
+    realizations keyed by block name.  Every builder caches what it builds."""
+
+    graph: Callable[[], KSGraph]
+    states: dict[str, Callable[[], DensityOperator]]
+    realizations: dict[str, Callable[[], Realization]]
+
+
+def graph_blocks() -> dict[str, GraphBlocks]:
+    """The one table of the graph built-ins' block names, by built-in name.
+
+    A function rather than a constant, so that it reads each builder when
+    called: a builder replaced on this module is the one it gives.
+    """
+    return {
+        "peres-mermin": GraphBlocks(
+            peres_mermin_graph,
+            {"mixed": partial(_maximally_mixed, 4), "z00": pm_z00_state},
+            {
+                "full": pm_full_realization,
+                "spin": pm_spin_realization,
+                "hyperedge": pm_hyperedge_realization,
+            },
+        ),
+        "ghz": GraphBlocks(
+            ghz_graph,
+            {"mixed": partial(_maximally_mixed, 8), "ghz": ghz_state},
+            {"full": ghz_full_realization, "standard": ghz_standard_realization},
+        ),
+    }
 
 
 # -- box models -------------------------------------------------------------------
@@ -365,19 +412,22 @@ class CatalogEntry(NamedTuple):
     summary: str
 
 
+def _graph_entry(name: str, summary: str) -> CatalogEntry:
+    """A graph built-in's entry, its summary ending with its realization names."""
+    realizations = ", ".join(graph_blocks()[name].realizations)
+    return CatalogEntry(name, "graph", f"{summary}; realizations: {realizations}")
+
+
 CATALOG: dict[str, CatalogEntry] = {
-    "peres-mermin": CatalogEntry(
+    "peres-mermin": _graph_entry(
         "peres-mermin",
-        "graph",
         "nine two-qubit observables on a 3x3 grid; every line multiplies to "
-        "+identity except the third column (-identity); realizations: full, "
-        "spin, hyperedge",
+        "+identity except the third column (-identity)",
     ),
-    "ghz": CatalogEntry(
+    "ghz": _graph_entry(
         "ghz",
-        "graph",
         "ten three-qubit observables on a pentagram; four +1 lines and a -1 "
-        "horizontal line; realizations: full, standard",
+        "horizontal line",
     ),
     "box-m1": CatalogEntry(
         "box-m1",

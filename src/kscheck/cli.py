@@ -4,7 +4,9 @@ Verbs: verify, classify, search-model, ghz, robustness, catalog.  Every
 command is deterministic given the same inputs; ``--json`` switches the
 report to a machine-readable document that round-trips.  Exit codes:
 0 success-with-verdict, 2 parse error, 3 invalid graph, 4 missing block,
-5 cap exceeded, 6 bad argument.
+5 cap exceeded, 6 bad argument.  ``main`` returns the exit code; ``run``,
+the ``kscheck`` command and ``python -m kscheck.cli``, ends the process
+with it once the output is flushed.
 """
 
 from __future__ import annotations
@@ -514,5 +516,22 @@ def main(argv=None) -> int:
     return EXIT_OK
 
 
+def run():
+    """The command-line entry point: ``main()``, then end the process.
+
+    Once the report and any message are flushed nothing is left to do, so
+    the process ends with ``os._exit`` and skips the interpreter's teardown
+    of every module and object.  If a flush fails, the usual exit runs and
+    reports it as Python does.
+    """
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (OSError, ValueError):
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

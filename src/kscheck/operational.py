@@ -22,7 +22,7 @@ from .pauli import check_commuting
 # tables load no quantum module
 if TYPE_CHECKING:
     from .graph import KSGraph
-    from .quantum import DensityOperator
+    from .state import DensityOperator
 
 NORMALIZATION_TOL = 1e-12
 TABLE_TOL = 1e-10

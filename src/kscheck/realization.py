@@ -26,7 +26,7 @@ from .pauli import all_commute, commutation_masks
 
 # only the type II pipeline prepares states; it imports the Born rule itself
 if TYPE_CHECKING:
-    from .quantum import DensityOperator
+    from .state import DensityOperator
 
 SWEEP_POOL_LIMIT = 12
 SWEEP_ASSOC_LIMIT = 2
@@ -450,7 +450,8 @@ def run_type2_argument(
     the pinned edge's sign as inverted (no eigenstate exists for that, so
     step 1 is skipped) and must make the search satisfiable.
     """
-    from .quantum import DensityOperator, born_probability, is_operational_eigenstate
+    from .quantum import born_probability, is_operational_eigenstate
+    from .state import DensityOperator
 
     kind = classify_type(graph, realization)
     if kind.kind != "II":

@@ -1,8 +1,8 @@
 """Scenarios: the blocks a call reads, from a built-in name or a scenario file.
 
-A built-in's states and realizations are built when a verb first reads
-them.  A file is parsed whole by ``scenario_json``, which only file inputs
-and the serializer load.
+A built-in's states and realizations, and a file's realizations, are built
+when a verb first reads them.  A file is parsed and checked whole by
+``scenario_json``, which only file inputs and the serializer load.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ if TYPE_CHECKING:
     from .graph import KSGraph
     from .ontology import OntologicalModel
     from .operational import OperationalTheory, Realization
-    from .quantum import DensityOperator
+    from .state import DensityOperator
 
 # The names ``load_scenario`` takes for ``builtin_scenario``; ``catalog.CATALOG``
 # describes each of them.
@@ -29,19 +29,22 @@ BUILTIN_NAMES = ("peres-mermin", "ghz", "box-m1", "box-m2", "box-m3", "army")
 class LazyBlocks(Mapping):
     """A read-only mapping with fixed keys whose values are built on first read.
 
-    Each key maps to a builder that takes no arguments; the built-in
-    scenarios pass the catalog's cached builders, so listing the names, ``in``
-    and ``len`` build nothing and each block is built once.  It equals any
-    mapping with the same items, a plain dict included.
+    Each key maps to a builder that takes no arguments and is called at most
+    once, so listing the names, ``in`` and ``len`` build nothing and each
+    block is built once.  It equals any mapping with the same items, a plain
+    dict included.
     """
 
-    __slots__ = ("_builders",)
+    __slots__ = ("_builders", "_built")
 
     def __init__(self, builders: dict[str, Callable[[], Any]]):
         self._builders = builders
+        self._built: dict[str, Any] = {}
 
     def __getitem__(self, key):
-        return self._builders[key]()
+        if key not in self._built:
+            self._built[key] = self._builders[key]()
+        return self._built[key]
 
     def __contains__(self, key):
         return key in self._builders
@@ -124,39 +127,20 @@ def load_scenario(source: str) -> Scenario:
     return parse_scenario(doc, digest=sha256(raw).hexdigest())
 
 
-def _states_of(build: Callable[[], dict], labels: tuple[str, ...]) -> LazyBlocks:
-    """Lazy states whose values are the items of ``build()``."""
-    return LazyBlocks({label: lambda label=label: build()[label] for label in labels})
-
-
 def builtin_scenario(name: str) -> Scenario:
     """A built-in by name.  The graph, theory and models are built at once;
     states and realizations are built when a verb first reads them."""
     from . import catalog
 
     digest = f"builtin:{name}"
-    if name == "peres-mermin":
+    graph_blocks = catalog.graph_blocks().get(name)
+    if graph_blocks is not None:
         return Scenario(
             name=name,
             digest=digest,
-            graph=catalog.peres_mermin_graph(),
-            states=_states_of(catalog.pm_states, ("mixed", "z00")),
-            realizations=LazyBlocks({
-                "full": catalog.pm_full_realization,
-                "spin": catalog.pm_spin_realization,
-                "hyperedge": catalog.pm_hyperedge_realization,
-            }),
-        )
-    if name == "ghz":
-        return Scenario(
-            name=name,
-            digest=digest,
-            graph=catalog.ghz_graph(),
-            states=_states_of(catalog.ghz_states, ("mixed", "ghz")),
-            realizations=LazyBlocks({
-                "full": catalog.ghz_full_realization,
-                "standard": catalog.ghz_standard_realization,
-            }),
+            graph=graph_blocks.graph(),
+            states=LazyBlocks(graph_blocks.states),
+            realizations=LazyBlocks(graph_blocks.realizations),
         )
     if name in ("box-m1", "box-m2", "box-m3"):
         fixture = {

@@ -10,19 +10,20 @@ verdict.  Parse failures carry a JSON path to the offending location.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import TYPE_CHECKING, Any
+from functools import partial
+from typing import TYPE_CHECKING, Any, Callable
 
 from .errors import InvalidGraphError, ScenarioParseError
 from .graph import KSGraph, build_graph
-from .scenario import Scenario, _fail
+from .scenario import LazyBlocks, Scenario, _fail
 
 # Each block parser imports the module its block needs, so a call loads only
-# what its input carries.
+# what its input carries; realizations are checked here and built on first read.
 if TYPE_CHECKING:
     from .exact import GaussianRational
     from .ontology import OntologicalModel
     from .operational import OperationalTheory, Realization
-    from .quantum import DensityOperator
+    from .state import DensityOperator
 
 
 def _expect(value: Any, kind: type, what: str, path: str):
@@ -89,8 +90,7 @@ def _parse_graph(doc: dict, path: str) -> KSGraph:
 
 
 def _parse_states(doc: Any, path: str) -> dict[str, DensityOperator]:
-    from .exact import ComplexMatrix, GaussianRational
-    from .quantum import DensityOperator
+    from .state import DensityOperator
 
     if not isinstance(doc, dict):
         _fail("'states' must map labels to state definitions", path)
@@ -124,10 +124,7 @@ def _parse_states(doc: Any, path: str) -> dict[str, DensityOperator]:
                     for re, im in row
                 )
                 if exact:
-                    matrix = ComplexMatrix(
-                        [[GaussianRational(re, im) for re, im in row] for row in parsed]
-                    )
-                    states[label] = DensityOperator.from_exact(matrix)
+                    states[label] = DensityOperator._from_fraction_rows(parsed)
                 else:
                     states[label] = DensityOperator(
                         [[complex(float(re), float(im)) for re, im in row] for row in parsed]
@@ -141,9 +138,12 @@ def _parse_states(doc: Any, path: str) -> dict[str, DensityOperator]:
     return states
 
 
-def _parse_realization(doc: Any, labels: list[str], path: str) -> Realization:
-    from .operational import Realization
+def _parse_realization(doc: Any, labels: list[str], path: str) -> Callable[[], Realization]:
+    """Check a realization block and return the builder of its Realization.
 
+    Every check runs here, so ``Realization.build`` cannot raise and is
+    left until a verb first reads the block.
+    """
     if not isinstance(doc, dict) or "assoc" not in doc:
         _fail("realization needs an 'assoc' block", path)
     assoc_doc = doc["assoc"]
@@ -173,11 +173,28 @@ def _parse_realization(doc: Any, labels: list[str], path: str) -> Realization:
             _fail("tag needs 'vertex', 'measurement' and 'tag'", tpath)
         if not isinstance(item["vertex"], str) or item["vertex"] not in index_of:
             _fail(f"unknown vertex {item['vertex']!r}", tpath)
-        tags[(index_of[item["vertex"]], str(item["measurement"]))] = str(item["tag"])
-    try:
-        return Realization.build(assoc, [set(map(str, s)) for s in comeasurable], tags)
-    except Exception as exc:
-        _fail(f"invalid realization: {exc}", path)
+        vertex, measurement = index_of[item["vertex"]], str(item["measurement"])
+        if measurement not in assoc[vertex]:
+            _fail(f"vertex {item['vertex']!r} is not associated with {measurement!r}", tpath)
+        tags[(vertex, measurement)] = str(item["tag"])
+    carried = set().union(*assoc)
+    sets = []
+    for i, raw in enumerate(comeasurable):
+        cpath = f"{path}.comeasurable[{i}]"
+        if not isinstance(raw, list) or not raw:
+            _fail("comeasurable set must be a nonempty list of measurement labels", cpath)
+        members = {str(m) for m in raw}
+        unknown = sorted(members - carried)
+        if unknown:
+            _fail(f"no vertex carries measurements {unknown}", cpath)
+        sets.append(members)
+    return partial(_build_realization, assoc, sets, tags)
+
+
+def _build_realization(assoc, comeasurable, function_tags) -> Realization:
+    from .operational import Realization
+
+    return Realization.build(assoc, comeasurable, function_tags)
 
 
 def _parse_theory(doc: Any, path: str) -> OperationalTheory:
@@ -294,10 +311,10 @@ def parse_scenario(doc: Any, digest: str) -> Scenario:
         if not isinstance(doc["realizations"], dict):
             _fail("'realizations' must map names to blocks", "$.realizations")
         labels = list(scenario.graph.labels)
-        for rname, block in doc["realizations"].items():
-            scenario.realizations[str(rname)] = _parse_realization(
-                block, labels, f"$.realizations.{rname}"
-            )
+        scenario.realizations = LazyBlocks({
+            str(rname): _parse_realization(block, labels, f"$.realizations.{rname}")
+            for rname, block in doc["realizations"].items()
+        })
     if "tables" in doc:
         scenario.theory = _parse_theory(doc["tables"], "$.tables")
     if "models" in doc:

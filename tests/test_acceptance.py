@@ -138,7 +138,7 @@ def test_criterion_08_type2_pipeline():
         assert not result.satisfiable, combo
         assert result.eigenstate_verified
         # the eigenstate pins each horizontal outcome within 1e-10
-        from kscheck.quantum import DensityOperator
+        from kscheck.state import DensityOperator
 
         rho = DensityOperator.from_projection(
             joint_projection(ghz.edge_operators(catalog.GHZ_HORIZONTAL), combo)

@@ -7,11 +7,12 @@ import resource
 import subprocess
 import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 
 from kscheck import cli, ontology
-from kscheck.catalog import PM_EDGES, PM_VERTICES
+from kscheck.catalog import GHZ_EDGES, GHZ_VERTICES, PM_EDGES, PM_VERTICES
 from kscheck.cli import Report, main
 
 SINGLE_EDGE = {
@@ -22,6 +23,17 @@ SINGLE_EDGE = {
         {"label": "c", "operator": "ZZ"},
     ],
     "hyperedges": [[0, 1, 2]],
+}
+
+
+# a square on the first two of three qubits beside a pentagram, each without
+# its -1 line: 19 vertices, SAT, and a witness listing larger than a pipe holds
+SQUARE_AND_PENTAGRAM = {
+    "name": "square-and-pentagram",
+    "vertices": [{"label": f"pm_{label}", "operator": op + "I"} for label, op in PM_VERTICES]
+    + [{"label": f"ghz_{label}", "operator": op} for label, op in GHZ_VERTICES],
+    "hyperedges": [list(edge) for edge in PM_EDGES[:5]]
+    + [[len(PM_VERTICES) + v for v in edge] for edge in GHZ_EDGES[:4]],
 }
 
 
@@ -50,6 +62,10 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def without_timing(report: str) -> str:
+    return re.sub(r'"timing_s": [^,\n]+', '"timing_s": 0', report)
 
 
 def builtin_doc(capsys, name):
@@ -400,11 +416,27 @@ class TestExitCodesAndDeterminism:
                 "assoc": assoc,
                 "function_tags": [{"vertex": ["a"], "measurement": "a", "tag": "t"}],
             },
+            # a string is not a set of labels, though it iterates like one
+            "comeasurable[0]": {"assoc": assoc, "comeasurable": ["abc"]},
+            # a label no vertex carries
+            "comeasurable[1]": {
+                "assoc": assoc,
+                "comeasurable": [["a", "b"], ["a", "b", "c", "zzz"]],
+            },
+            "comeasurable[2]": {"assoc": assoc, "comeasurable": [["a"], ["b", "c"], []]},
+            # a tag on a measurement its vertex is not associated with
+            "function_tags[1]": {
+                "assoc": assoc,
+                "function_tags": [
+                    {"vertex": "a", "measurement": "a", "tag": "f"},
+                    {"vertex": "b", "measurement": "c", "tag": "g"},
+                ],
+            },
         }
         for n, (key, block) in enumerate(blocks.items()):
             path = tmp_path / f"bad{n}.json"
             path.write_text(json.dumps({**SINGLE_EDGE, "realizations": {"r": block}}))
-            for verb in ("verify", "classify", "search-model"):
+            for verb in ("verify", "classify", "search-model", "robustness", "ghz"):
                 code, _, err = run(capsys, verb, str(path))
                 assert code == 2, (key, verb)
                 assert f"$.realizations.r.{key}:" in err
@@ -420,6 +452,48 @@ class TestExitCodesAndDeterminism:
         err = proc.stderr.read().decode()
         assert proc.wait(timeout=60) == 0
         assert "Traceback" not in err
+
+    def test_module_entry_point_matches_main(self, capsys, tmp_path, child_env):
+        """``python -m kscheck.cli`` ends with ``os._exit`` once its output is
+        flushed: with a block-buffered stdout it still writes the whole
+        report, and each exit code and message is the in-process one."""
+        env = child_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        inputs = {
+            "sat.json": json.dumps(SQUARE_AND_PENTAGRAM),
+            "broken.json": "{]",
+            "invalid.json": json.dumps({**SINGLE_EDGE, "hyperedges": [[0, 1]]}),
+        }
+        for name, text in inputs.items():
+            (tmp_path / name).write_text(text)
+        calls = (
+            (0, ["verify", str(tmp_path / "sat.json"), "--json"]),
+            (2, ["verify", str(tmp_path / "broken.json")]),
+            (3, ["verify", str(tmp_path / "invalid.json")]),
+            (4, ["verify", "box-m1"]),
+            (5, ["verify", "ghz", "--cap", "5"]),
+            (6, ["catalog", "wat"]),
+        )
+        for expected, argv in calls:
+            code, out, err = run(capsys, *argv)
+            proc = subprocess.run(
+                [sys.executable, "-m", "kscheck.cli", *argv],
+                capture_output=True,
+                env=env,
+                timeout=120,
+            )
+            assert proc.returncode == code == expected, argv
+            assert proc.stderr == err.encode(), argv
+            assert without_timing(proc.stdout.decode()) == without_timing(out), argv
+            if expected == 0:
+                assert json.loads(out)["verdicts"]["witness_count"] == 1024
+                assert len(proc.stdout) > 1 << 16
+
+    def test_console_script_names_a_cli_function(self):
+        pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        entry = re.search(r'^kscheck = "kscheck\.cli:(\w+)"$', pyproject, re.M)
+        assert entry, "no kscheck console script in pyproject.toml"
+        assert callable(getattr(cli, entry.group(1), None))
 
     def test_exact_inputs_never_import_numpy(self, tmp_path, child_env):
         """Every verb on the built-ins runs without numpy; a float state loads it."""
@@ -497,9 +571,10 @@ print(json.dumps([code, added, hashlib_loaded, builtin, digest]))
         assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
 
     def test_file_calls_load_only_their_modules(self, capsys, tmp_path, child_env):
-        """``import kscheck`` loads no submodule; verify on a file loads no
-        ontology, and neither verify nor robustness loads realization or
-        catalog."""
+        """``import kscheck`` loads no submodule; verify on a file with states
+        and realizations loads no Born-rule, exact, theory or ontology
+        module, classify loads no Born rule, and neither verify nor
+        robustness loads realization or catalog."""
         path = tmp_path / "pm.json"
         path.write_text(json.dumps(builtin_doc(capsys, "peres-mermin")))
         script = """
@@ -531,10 +606,24 @@ print(json.dumps([bare, loaded]))
         )
         assert verify_code == robust_code == 0
         assert "kscheck.graph" in after_verify
-        assert "kscheck.ontology" not in after_verify
+        for name in ("quantum", "exact", "operational", "ontology", "realization"):
+            assert f"kscheck.{name}" not in after_verify, f"verify on a file loaded {name}"
         assert "kscheck.ontology" in after_robust
         for name in ("kscheck.realization", "kscheck.catalog"):
             assert name not in after_robust, f"a file call loaded {name}"
+
+        proc = subprocess.run(
+            [sys.executable, "-c", LOADED_MODULES, "classify", str(path), "--realization", "spin"],
+            capture_output=True,
+            text=True,
+            env=child_env(),
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        code, after_classify = json.loads(proc.stdout)
+        assert code == 0
+        assert "kscheck.realization" in after_classify
+        assert "kscheck.quantum" not in after_classify, "classify on a file loaded quantum"
 
         # each built-in call in a fresh interpreter: only the blocks its verb
         # reads are built, and only their engines load

@@ -30,7 +30,7 @@ from kscheck.operational import (
     is_nondisturbing,
     support,
 )
-from kscheck.quantum import DensityOperator
+from kscheck.state import DensityOperator
 from kscheck.realization import Realization
 
 JOINT = frozenset({"color", "size"})

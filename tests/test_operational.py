@@ -16,7 +16,7 @@ from kscheck.operational import (
     marginal,
     support,
 )
-from kscheck.quantum import DensityOperator
+from kscheck.state import DensityOperator
 from kscheck.realization import Realization
 
 ROW_1 = frozenset({"a", "b", "c"})

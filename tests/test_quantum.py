@@ -15,7 +15,6 @@ from kscheck.ontology import min_violation_fraction
 from kscheck.operational import from_quantum
 from kscheck.pauli import PauliString, to_matrix
 from kscheck.quantum import (
-    DensityOperator,
     born_probability,
     common_eigenbasis,
     is_operational_eigenstate,
@@ -25,6 +24,7 @@ from kscheck.quantum import (
     support_table,
 )
 from kscheck.realization import Realization, run_type2_argument
+from kscheck.state import DensityOperator
 
 P = PauliString.parse
 

@@ -8,7 +8,7 @@ from kscheck import catalog
 from kscheck.errors import BadArgumentError
 from kscheck.graph import admissible_tuples, build_graph
 from kscheck.operational import OUTCOME_MINUS, OUTCOME_PLUS, from_quantum, support
-from kscheck.quantum import DensityOperator, joint_projection
+from kscheck.quantum import joint_projection
 from kscheck.realization import (
     Realization,
     classify_type,
@@ -22,6 +22,7 @@ from kscheck.realization import (
     lemma_check,
     run_type2_argument,
 )
+from kscheck.state import DensityOperator
 
 
 class TestUniqueness:

@@ -12,6 +12,7 @@ from kscheck import catalog
 from kscheck.cli import Report, main
 from kscheck.errors import InvalidGraphError, ScenarioParseError
 from kscheck.exact import ComplexMatrix
+from kscheck.operational import Realization
 from kscheck.scenario import BUILTIN_NAMES, Scenario, builtin_scenario, load_scenario
 from kscheck.scenario_json import parse_scenario, scenario_to_dict
 
@@ -238,11 +239,12 @@ def eager_builtin(name: str) -> Scenario:
 
 # every catalog builder a built-in's states or realizations read
 BLOCK_BUILDERS = (
-    "pm_states",
+    "_maximally_mixed",
+    "pm_z00_state",
     "pm_full_realization",
     "pm_spin_realization",
     "pm_hyperedge_realization",
-    "ghz_states",
+    "ghz_state",
     "ghz_full_realization",
     "ghz_standard_realization",
 )
@@ -258,7 +260,7 @@ class TestBuiltinsRoundTrip:
     def test_names_build_nothing(self, monkeypatch):
         built = []
         for attr in BLOCK_BUILDERS:
-            monkeypatch.setattr(catalog, attr, lambda attr=attr: built.append(attr))
+            monkeypatch.setattr(catalog, attr, lambda *_, attr=attr: built.append(attr))
         pm, ghz = builtin_scenario("peres-mermin"), builtin_scenario("ghz")
         assert (len(pm.states), sorted(pm.states)) == (2, ["mixed", "z00"])
         assert (len(pm.realizations), list(pm.realizations)) == (3, ["full", "spin", "hyperedge"])
@@ -269,6 +271,53 @@ class TestBuiltinsRoundTrip:
         assert built == []
         ghz.realizations["standard"]
         assert built == ["ghz_standard_realization"]
+        pm.states["mixed"], pm.states["z00"]
+        assert built == ["ghz_standard_realization", "_maximally_mixed", "pm_z00_state"]
+
+    def test_file_realizations_build_on_first_read(self, tmp_path, monkeypatch):
+        """A file's realizations are checked at load and built when read;
+        each equals the eager ``Realization.build`` of its block."""
+        doc = {
+            **MINIMAL_GRAPH,
+            "realizations": {
+                "tagged": {
+                    "assoc": {"a": ["m"], "b": ["m"], "c": ["n"]},
+                    "comeasurable": [["m", "n"]],
+                    "function_tags": [
+                        {"vertex": "a", "measurement": "m", "tag": "f1"},
+                        {"vertex": "b", "measurement": "m", "tag": "f2"},
+                    ],
+                },
+                "plain": {
+                    "assoc": {"a": ["a"], "b": ["b"], "c": ["c", "d"]},
+                    "comeasurable": [["a", "b"], ["b", "d"]],
+                },
+            },
+        }
+        path = tmp_path / "realizations.json"
+        path.write_text(json.dumps(doc))
+        eager_build = Realization.build
+        built = []
+        monkeypatch.setattr(
+            Realization, "build", lambda *args: built.append(args) or eager_build(*args)
+        )
+        realizations = load_scenario(str(path)).realizations
+        assert (len(realizations), list(realizations)) == (2, ["tagged", "plain"])
+        assert "plain" in realizations and "full" not in realizations
+        assert built == []
+        labels = [v["label"] for v in doc["vertices"]]
+        for name, block in doc["realizations"].items():
+            eager = eager_build(
+                [set(block["assoc"][label]) for label in labels],
+                [set(members) for members in block["comeasurable"]],
+                {
+                    (labels.index(tag["vertex"]), tag["measurement"]): tag["tag"]
+                    for tag in block.get("function_tags", [])
+                },
+            )
+            assert realizations[name] == eager
+        assert realizations["tagged"] is realizations["tagged"]
+        assert len(built) == 2
 
     def test_spin_realization_loads_no_realization_module(self, child_env):
         script = """
