@@ -23,8 +23,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import NotTwoValuedError
 from .graph import SEARCH_CAP, depth_first
-from .operational import Joint, Measurement, OperationalTheory, support
-from .operational import _close_family, _maximal_members
+from .operational import Family, Joint, Measurement, OperationalTheory, support
 
 RECOVERY_TOL = 1e-10
 RESPONSE_TOL = 1e-12
@@ -44,8 +43,7 @@ class OntologicalModel:
     ):
         self.basics = tuple(basics)
         self._by_label = {m.label: m for m in self.basics}
-        self._order = {m.label: i for i, m in enumerate(self.basics)}
-        self.family = _close_family(comeasurable, self._by_label)
+        self.family = Family(comeasurable, self._by_label)
         self.ontic_states = tuple(ontic_states)
         if len(set(self.ontic_states)) != len(self.ontic_states):
             raise ValueError("ontic state labels must be distinct")
@@ -73,12 +71,7 @@ class OntologicalModel:
         return tuple(product(*parts))
 
     def maximal_joints(self) -> tuple[Joint, ...]:
-        return tuple(
-            sorted(
-                _maximal_members(self.family, ()),
-                key=lambda j: tuple(sorted(self._order[x] for x in j)),
-            )
-        )
+        return self.family.maximal
 
     def response(self, joint: Joint, lam: str) -> dict[tuple[str, ...], object]:
         return self.responses[(frozenset(joint), lam)]
@@ -126,7 +119,7 @@ class OntologicalModel:
         responses are the induced deterministic, factorizing ones and
         preparations are uniform over the states."""
         labels = [m.label for m in basics]
-        family = _close_family(comeasurable, labels)
+        family = Family(comeasurable, labels)
         order = {label: i for i, label in enumerate(labels)}
         members_of = [(joint, sorted(joint, key=order.get)) for joint in family]
         ontic = [_state_name(a[label] for label in labels) for a in assignments]
@@ -140,7 +133,7 @@ class OntologicalModel:
         prep_distributions = {
             prep: {lam: Fraction(1, n) for lam in ontic} for prep in preparations
         }
-        return cls(basics, comeasurable, ontic, prep_distributions, responses)
+        return cls(basics, family.maximal, ontic, prep_distributions, responses)
 
 
 # -- verdicts ----------------------------------------------------------------
@@ -214,7 +207,7 @@ def is_noncontextual(model: OntologicalModel, tol: float | None = None) -> tuple
     witnesses = []
     members = sorted(model.family, key=lambda j: (len(j), model.joint_name(j)))
     for sub in members:
-        supersets = [y for y in model.family if sub < y]
+        supersets = [y for y in members if sub < y]
         if not supersets:
             continue
         sub_order = model.component_order(sub)

@@ -12,7 +12,7 @@ may additionally store their own sub-joint tables, which is exactly what
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import InvalidGraphError, MarginalAmbiguityError
@@ -72,40 +72,48 @@ class Measurement:
         raise KeyError(outcome_label)
 
 
-def _close_family(
-    declared: Iterable[Iterable[str]], basic_labels: Iterable[str]
-) -> frozenset[Joint]:
-    """Close under nonempty subsets and include every basic singleton."""
-    family: set[Joint] = {frozenset({label}) for label in basic_labels}
-    for raw in declared:
-        members = frozenset(raw)
-        if not members:
-            continue
-        stack = [members]
-        while stack:
-            current = stack.pop()
-            if current in family:
-                continue
-            family.add(current)
-            if len(current) > 1:
-                for item in current:
-                    stack.append(current - {item})
-    return frozenset(family)
-
-
-def _maximal_members(
-    declared: Iterable[Iterable[str]], basic_labels: Iterable[str]
-) -> set[Joint]:
-    """The maximal members of ``_close_family(declared, basic_labels)``.
-
-    Every member of the closure lies inside a declared set or is a basic
-    singleton, so the maximal ones are found among those alone.
+class Family:
+    """A comeasurability family held by its maximal members, in a fixed
+    order: by their labels' positions in ``labels`` (other labels follow by
+    name).  Every basic label is a member.  ``in`` is a subset test against
+    the maximal members; iterating lists the whole downward closure lazily,
+    each member once, for the checks that need every member.
     """
-    candidates = {frozenset(raw) for raw in declared} | {
-        frozenset({label}) for label in basic_labels
-    }
-    candidates.discard(frozenset())
-    return {j for j in candidates if not any(j < other for other in candidates)}
+
+    __slots__ = ("maximal",)
+
+    def __init__(self, declared: Iterable[Iterable[str]], labels: Iterable[str]):
+        candidates = {frozenset(raw) for raw in declared} - {frozenset()}
+        rank = {label: i for i, label in enumerate(labels)}
+        candidates.update(frozenset({label}) for label in rank)
+        for label in sorted(set().union(*candidates) - rank.keys()):
+            rank[label] = len(rank)
+        # a proper superset is longer, so it is kept before its subsets
+        kept: list[Joint] = []
+        for joint in sorted(candidates, key=len, reverse=True):
+            if not any(joint <= other for other in kept):
+                kept.append(joint)
+        self.maximal = tuple(sorted(kept, key=lambda j: sorted(map(rank.get, j))))
+
+    def __contains__(self, joint) -> bool:
+        member = isinstance(joint, (set, frozenset)) and bool(joint)
+        return member and any(joint <= m for m in self.maximal)
+
+    def __iter__(self):
+        for i, top in enumerate(self.maximal):
+            for size in range(1, len(top) + 1):
+                for combo in combinations(sorted(top), size):
+                    joint = frozenset(combo)
+                    if not any(joint <= m for m in self.maximal[:i]):
+                        yield joint
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return set(self.maximal) == set(other.maximal)
+
+    def __repr__(self):
+        return f"Family(maximal={self.maximal!r})"
 
 
 class Realization:
@@ -113,23 +121,26 @@ class Realization:
 
     ``function_tags`` optionally names which function of a shared
     measurement realizes a given vertex (the f_i of a collapsed edge).
-    ``comeasurable`` is closed under nonempty subsets and always contains
-    every singleton.
+    ``comeasurable`` is a ``Family``: the maximal comeasurable label sets,
+    in ``measurement_labels`` order; a label set is comeasurable iff it lies
+    inside one, and every label a vertex carries is.
     """
 
     def __init__(
         self,
         assoc: tuple[frozenset[str], ...],
-        comeasurable: frozenset[frozenset[str]],
+        comeasurable: Family | Iterable[Iterable[str]],
         function_tags: dict[tuple[int, str], str] | None = None,
     ):
         self.assoc = assoc
+        if not isinstance(comeasurable, Family):
+            comeasurable = Family(comeasurable, self.measurement_labels)
         self.comeasurable = comeasurable
         self.function_tags = {} if function_tags is None else function_tags
 
     def __repr__(self):
         return (
-            f"Realization(assoc={self.assoc!r}, comeasurable={self.comeasurable!r}, "
+            f"Realization(assoc={self.assoc!r}, comeasurable={frozenset(self.comeasurable)!r}, "
             f"function_tags={self.function_tags!r})"
         )
 
@@ -148,8 +159,7 @@ class Realization:
         normalized = tuple(frozenset(a) for a in assoc)
         if any(not a for a in normalized):
             raise ValueError("every vertex needs at least one measurement")
-        family = _close_family(comeasurable, set().union(*normalized))
-        return cls(normalized, family, dict(function_tags or {}))
+        return cls(normalized, comeasurable, dict(function_tags or {}))
 
     @property
     def measurement_labels(self) -> tuple[str, ...]:
@@ -173,15 +183,11 @@ class OperationalTheory:
         self._order = {m.label: i for i, m in enumerate(self.basics)}
         self.preparations = tuple(preparations)
 
-        comeasurable = [tuple(raw) for raw in comeasurable]
-        for raw in comeasurable:
-            for label in raw:
-                if label not in self._by_label:
-                    raise ValueError(f"comeasurable set names unknown measurement {label!r}")
-        self.family = _close_family(comeasurable, self._by_label)
-        self.maximal_joints = tuple(
-            sorted(_maximal_members(comeasurable, self._by_label), key=self._joint_key)
-        )
+        self.family = Family(comeasurable, self._by_label)
+        self.maximal_joints = self.family.maximal
+        unknown = sorted(set().union(*self.maximal_joints) - self._by_label.keys())
+        if unknown:
+            raise ValueError(f"comeasurable set names unknown measurement {unknown[0]!r}")
 
         self.tables: dict[Joint, dict[str, dict[tuple[str, ...], object]]] = {}
         for joint, per_prep in tables.items():
@@ -435,20 +441,17 @@ def from_quantum(
     if len(set(labels)) != n:
         raise InvalidGraphError("from_quantum needs distinct measurements per vertex")
     operator_of = {labels[v]: graph.vertices[v][1] for v in range(n)}
-    unknown = sorted(set().union(*realization.comeasurable) - operator_of.keys())
+    maximal = realization.comeasurable.maximal
+    unknown = sorted(set().union(*maximal) - operator_of.keys())
     if unknown:
         raise InvalidGraphError(f"comeasurable set names unrealized labels {unknown}")
 
     basics = [Measurement(label, _PAULI_OUTCOMES) for label in labels]
     order = {label: i for i, label in enumerate(labels)}
-    maximal = sorted(
-        _maximal_members(realization.comeasurable, labels),
-        key=lambda j: tuple(sorted(order[label] for label in j)),
-    )
 
     # every subset of a commuting set commutes, so the maximal sets suffice
     tables: dict[Joint, dict[str, dict[tuple[str, ...], object]]] = {}
-    for joint in maximal:
+    for joint in sorted(maximal, key=lambda j: sorted(map(order.get, j))):
         members = sorted(joint, key=order.get)
         ops = tuple(operator_of[label] for label in members)
         try:
@@ -460,14 +463,14 @@ def from_quantum(
             ) from exc
         # joint_distribution lists the ±1 tuples in this same product order
         combos = list(product((OUTCOME_PLUS, OUTCOME_MINUS), repeat=len(members)))
-        tables[frozenset(joint)] = {
+        tables[joint] = {
             prep: dict(zip(combos, joint_distribution(rho, ops).values()))
             for prep, rho in states.items()
         }
 
     return OperationalTheory(
         basics=basics,
-        comeasurable=realization.comeasurable,
+        comeasurable=maximal,
         preparations=tuple(states),
         tables=tables,
     )

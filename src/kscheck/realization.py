@@ -15,12 +15,14 @@ preparing a common eigenstate of the failing edge), or more (type III).
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import product
 from math import prod
+from operator import and_
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .errors import BadArgumentError, CapExceededError
-from .graph import SEARCH_CAP, KSGraph, check_cap, depth_first
+from .graph import SEARCH_CAP, KSGraph, _bits, _maximal_cliques, check_cap, depth_first
 from .operational import OUTCOME_MINUS, OUTCOME_PLUS, Realization, _family_support, from_quantum
 from .pauli import all_commute, commutation_masks
 
@@ -59,23 +61,21 @@ def is_hyperedge_based(
     return (bool(edges), tuple(edges))
 
 
-def _edge_selections(graph: KSGraph, realization: Realization, edge_index: int):
-    options = [sorted(realization.assoc[v]) for v in graph.hyperedges[edge_index]]
-    return product(*options)
-
-
 def edge_represents_simultaneous(
     graph: KSGraph, realization: Realization, edge_index: int
 ) -> tuple[bool, tuple[str, ...] | None, bool]:
     """Whether some choice of one measurement per vertex is comeasurable.
 
-    Returns (ok, a witnessing selection or None, whether a choice among
+    One exists iff every vertex's association meets some maximal
+    comeasurable set M.  Returns (ok, a witnessing selection, each vertex's
+    least label in the first such M, or None, whether a choice among
     multiple associations was involved).
     """
-    had_choice = any(len(realization.assoc[v]) > 1 for v in graph.hyperedges[edge_index])
-    for selection in _edge_selections(graph, realization, edge_index):
-        if frozenset(selection) in realization.comeasurable:
-            return (True, tuple(selection), had_choice)
+    options = [realization.assoc[v] for v in graph.hyperedges[edge_index]]
+    had_choice = any(len(a) > 1 for a in options)
+    for top in realization.comeasurable.maximal:
+        if all(not top.isdisjoint(a) for a in options):
+            return (True, tuple(min(a & top) for a in options), had_choice)
     return (False, None, had_choice)
 
 
@@ -200,33 +200,25 @@ def commuting_realization(
     the vertices they realize is mutually commuting.
 
     Every measurement must itself realize a mutually commuting vertex set.
+    Commutation is pairwise, so the maximal sets are the maximal cliques of
+    labels whose realized vertices commute together.
     """
     normalized = [frozenset(a) for a in assoc]
     labels = sorted(set().union(*normalized))
-    if len(labels) > 16:
-        raise CapExceededError("commuting family materialization capped at 16 labels")
-    # label -> mask of the vertices it realizes
-    realized = {
-        label: sum(1 << v for v, a in enumerate(normalized) if label in a) for label in labels
-    }
     masks = commutation_masks(graph.operators)
-    for label, vertices in realized.items():
-        if not all_commute(masks, vertices):
-            members = [v for v in range(len(normalized)) if vertices >> v & 1]
+    # per label: the vertices it realizes, and those commuting with all of them
+    realized = [sum(1 << v for v, a in enumerate(normalized) if label in a) for label in labels]
+    near = [reduce(and_, map(masks.__getitem__, _bits(vertices))) for vertices in realized]
+    for label, vertices, common in zip(labels, realized, near):
+        if vertices & ~common:
+            members = list(_bits(vertices))
             raise ValueError(f"measurement {label} realizes non-commuting vertices {members}")
-
-    # each level: the label sets one larger, with the union of their vertices
-    level = [(frozenset({label}), realized[label]) for label in labels]
-    family: list[frozenset[str]] = []
-    while level:
-        family.extend(members for members, _ in level)
-        level = [
-            (members | {label}, union | realized[label])
-            for members, union in level
-            for label in labels
-            if label > max(members) and all_commute(masks, union | realized[label])
-        ]
-    return Realization.build(normalized, family)
+    adjacency = [
+        sum(1 << j for j, other in enumerate(realized) if j != i and not other & ~common)
+        for i, common in enumerate(near)
+    ]
+    cliques = [[labels[i] for i in _bits(clique)] for clique in _maximal_cliques(adjacency)]
+    return Realization.build(normalized, cliques)
 
 
 def hyperedge_realization(graph: KSGraph, prefix: str = "b") -> Realization:
@@ -284,9 +276,8 @@ def collapse_edge(
     for k, v in enumerate(edge):
         assoc[v].add(label)
         tags[(v, label)] = f"f{k + 1}"
-    family = set(realization.comeasurable)
-    family.add(frozenset({label}))
-    new = Realization.build(assoc, family, tags)
+    # the fresh label is a singleton member: every carried label is one
+    new = Realization.build(assoc, realization.comeasurable.maximal, tags)
     multi = tuple(v for v in edge if len(new.assoc[v]) >= 2)
     return CollapseResult(realization=new, label=label, multi_associated=multi)
 

@@ -138,6 +138,14 @@ def _parse_states(doc: Any, path: str) -> dict[str, DensityOperator]:
     return states
 
 
+def _label_set(raw: list, path: str) -> set[str]:
+    """The measurement labels of a JSON list; each must be a string."""
+    for j, label in enumerate(raw):
+        if not isinstance(label, str):
+            _fail("measurement label must be a string", f"{path}[{j}]")
+    return set(raw)
+
+
 def _parse_realization(doc: Any, labels: list[str], path: str) -> Callable[[], Realization]:
     """Check a realization block and return the builder of its Realization.
 
@@ -156,7 +164,7 @@ def _parse_realization(doc: Any, labels: list[str], path: str) -> Callable[[], R
             _fail(f"unknown vertex {vertex_label!r}", f"{path}.assoc")
         if not isinstance(measurements, list) or not measurements:
             _fail("association must be a nonempty list", f"{path}.assoc.{vertex_label}")
-        assoc[index_of[vertex_label]] = {str(m) for m in measurements}
+        assoc[index_of[vertex_label]] = _label_set(measurements, f"{path}.assoc.{vertex_label}")
     missing = [labels[i] for i, a in enumerate(assoc) if not a]
     if missing:
         _fail(f"vertices without measurements: {missing}", f"{path}.assoc")
@@ -173,7 +181,9 @@ def _parse_realization(doc: Any, labels: list[str], path: str) -> Callable[[], R
             _fail("tag needs 'vertex', 'measurement' and 'tag'", tpath)
         if not isinstance(item["vertex"], str) or item["vertex"] not in index_of:
             _fail(f"unknown vertex {item['vertex']!r}", tpath)
-        vertex, measurement = index_of[item["vertex"]], str(item["measurement"])
+        vertex, measurement = index_of[item["vertex"]], item["measurement"]
+        if not isinstance(measurement, str):
+            _fail("measurement label must be a string", f"{tpath}.measurement")
         if measurement not in assoc[vertex]:
             _fail(f"vertex {item['vertex']!r} is not associated with {measurement!r}", tpath)
         tags[(vertex, measurement)] = str(item["tag"])
@@ -183,7 +193,7 @@ def _parse_realization(doc: Any, labels: list[str], path: str) -> Callable[[], R
         cpath = f"{path}.comeasurable[{i}]"
         if not isinstance(raw, list) or not raw:
             _fail("comeasurable set must be a nonempty list of measurement labels", cpath)
-        members = {str(m) for m in raw}
+        members = _label_set(raw, cpath)
         unknown = sorted(members - carried)
         if unknown:
             _fail(f"no vertex carries measurements {unknown}", cpath)
@@ -283,9 +293,8 @@ def _parse_model(doc: Any, theory: OperationalTheory, path: str) -> OntologicalM
             for key, v in raw.items()
         }
         responses[(joint, str(item["ontic"]))] = dist
-    comeasurable = [tuple(j) for j in theory.family]
     try:
-        return OntologicalModel(theory.basics, comeasurable, [str(s) for s in ontic], preps, responses)
+        return OntologicalModel(theory.basics, theory.maximal_joints, [str(s) for s in ontic], preps, responses)
     except Exception as exc:
         _fail(f"invalid model: {exc}", path)
 
@@ -361,12 +370,10 @@ def scenario_to_dict(scenario: Scenario) -> dict:
             states[label] = {"density": rows}
         doc["states"] = states
     if scenario.realizations:
-        from .operational import _maximal_members
-
         blocks = {}
         for rname, realization in scenario.realizations.items():
             assert graph is not None
-            maximal = [sorted(j) for j in _maximal_members(realization.comeasurable, ())]
+            maximal = [sorted(j) for j in realization.comeasurable.maximal]
             blocks[rname] = {
                 "assoc": {
                     graph.labels[v]: sorted(a)

@@ -432,6 +432,18 @@ class TestExitCodesAndDeterminism:
                     {"vertex": "b", "measurement": "c", "tag": "g"},
                 ],
             },
+            # measurement labels are JSON strings, never passed through str()
+            "assoc.a[0]": {
+                "assoc": {**assoc, "a": [["a"]]},
+                "comeasurable": [[["a"], "b"]],
+            },
+            "assoc.b[1]": {"assoc": {**assoc, "b": ["b", 7]}},
+            "comeasurable[1][0]": {"assoc": assoc, "comeasurable": [["a"], [["a"], "b"]]},
+            "comeasurable[0][1]": {"assoc": assoc, "comeasurable": [["a", None]]},
+            "function_tags[0].measurement": {
+                "assoc": assoc,
+                "function_tags": [{"vertex": "a", "measurement": ["a"], "tag": "f"}],
+            },
         }
         for n, (key, block) in enumerate(blocks.items()):
             path = tmp_path / f"bad{n}.json"
@@ -488,6 +500,25 @@ class TestExitCodesAndDeterminism:
             if expected == 0:
                 assert json.loads(out)["verdicts"]["witness_count"] == 1024
                 assert len(proc.stdout) > 1 << 16
+
+    def test_output_is_independent_of_the_hash_seed(self, child_env):
+        """Maximal comeasurable sets come in a fixed order, never in the
+        order string hashing gives a set."""
+        for argv in (
+            ["classify", "peres-mermin", "--realization", "hyperedge", "--json"],
+            ["catalog", "peres-mermin", "--json"],
+        ):
+            outs = []
+            for seed in ("0", "1"):
+                proc = subprocess.run(
+                    [sys.executable, "-m", "kscheck.cli", *argv],
+                    capture_output=True,
+                    env=child_env(PYTHONHASHSEED=seed),
+                    timeout=120,
+                )
+                assert proc.returncode == 0, argv
+                outs.append(without_timing(proc.stdout.decode()))
+            assert outs[0] == outs[1], argv
 
     def test_console_script_names_a_cli_function(self):
         pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
