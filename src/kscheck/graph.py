@@ -4,12 +4,13 @@ Vertices carry self-adjoint Pauli words; hyperedges are mutually commuting
 subsets whose ordered product is a signed identity.  A value assignment
 puts ±1 on every vertex; it is admissible when the values on every edge
 multiply to that edge's sign.  Those constraints are a linear system over
-GF(2), so ``search_assignments`` solves it by Gaussian elimination and
-lists its solutions.  ``depth_first`` is the package's one search over
-general constraints, a depth-first table-constraint search with branch and
-bound: the type II pipeline in ``realization`` and the model and
-robustness searches in ``ontology``, whose supports are not parity sets in
-general, run on it.
+GF(2), and ``_echelon`` solves such systems by Gaussian elimination:
+``search_assignments`` with one row per edge, the type II pipeline in
+``realization`` with one per pinned vertex and per relation of each other
+edge.  ``depth_first`` is the package's one search over general
+constraints, a depth-first table-constraint search with branch and bound:
+the model and robustness searches in ``ontology``, whose supports are not
+parity sets in general, run on it.
 """
 
 from __future__ import annotations
@@ -316,21 +317,17 @@ def depth_first(
     return bound
 
 
-def _echelon(graph: KSGraph) -> dict[int, tuple[int, int]] | None:
-    """The FUNC constraints as a GF(2) system in echelon form, or None if UNSAT.
+def _echelon(rows: Iterable[tuple[int, int]]) -> dict[int, tuple[int, int]] | None:
+    """A GF(2) system in echelon form, or None if it has no solution.
 
-    Value +1 is bit 0 and -1 is bit 1, so an edge asks that the bits of its
-    vertices add up to 1 exactly when its sign is -1.  Each edge is a row
-    (vertex mask, rhs); Gaussian elimination reduces it on its highest
-    vertex until that vertex is no other row's pivot, and keeps it under
-    that pivot.  A row that reduces to 0 with rhs 1 is a contradiction.
+    Value +1 is bit 0 and -1 is bit 1.  Each row (vertex mask, rhs) asks
+    that the bits of its vertices add up to rhs.  Gaussian elimination
+    reduces each row on its highest vertex until that vertex is no other
+    row's pivot, and keeps it under that pivot.  A row that reduces to 0
+    with rhs 1 is a contradiction.
     """
     pivots: dict[int, tuple[int, int]] = {}
-    for edge, sign in zip(graph.hyperedges, graph.edge_signs):
-        row = 0
-        for v in edge:
-            row |= 1 << v
-        rhs = int(sign < 0)
+    for row, rhs in rows:
         while row:
             top = row.bit_length() - 1
             if top not in pivots:
@@ -370,14 +367,26 @@ def _solutions(n_vertices: int, pivots: dict[int, tuple[int, int]]) -> tuple[Val
     return tuple(zip(*columns)) if columns else ((),)
 
 
+def _first_solution(n_vertices: int, pivots: dict[int, tuple[int, int]]) -> ValueAssignment:
+    """The first solution ``_solutions`` lists: every free vertex at +1."""
+    x = 0
+    for v in sorted(pivots):
+        row, rhs = pivots[v]
+        if (row & x).bit_count() & 1 != rhs:
+            x |= 1 << v
+    return tuple(-1 if x >> v & 1 else 1 for v in range(n_vertices))
+
+
 def search_assignments(graph: KSGraph, cap: int = SEARCH_CAP) -> TheoremVerdict:
     """Every FUNC-respecting assignment, by solving the parity system.
 
-    Gaussian elimination over GF(2) decides satisfiability; the witnesses,
-    2^(|V| - rank) of them, come out in lexicographic order (+1 before -1).
+    One row per edge, rhs 1 for a -1 edge.  Gaussian elimination over GF(2)
+    decides satisfiability; the witnesses, 2^(|V| - rank) of them, come out
+    in lexicographic order (+1 before -1).
     """
     check_cap(graph.n_vertices, cap)
-    pivots = _echelon(graph)
+    edges = zip(graph.hyperedges, graph.edge_signs)
+    pivots = _echelon((sum(1 << v for v in edge), int(sign < 0)) for edge, sign in edges)
     witnesses = () if pivots is None else _solutions(graph.n_vertices, pivots)
     return TheoremVerdict(
         satisfiable=bool(witnesses),

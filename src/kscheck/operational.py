@@ -378,11 +378,6 @@ def support(theory: OperationalTheory, joint: Joint) -> tuple[tuple[str, ...], .
     joint = frozenset(joint)
     if joint not in theory.maximal_joints:
         raise ValueError(f"{set(joint)} is not a maximal joint")
-    return _family_support(theory, joint)
-
-
-def _family_support(theory: OperationalTheory, joint: Joint) -> tuple[tuple[str, ...], ...]:
-    """``support`` of any family member, read through ``theory.probability``."""
     return tuple(
         outcomes
         for outcomes in theory.outcome_tuples(joint)
@@ -415,20 +410,11 @@ OUTCOME_MINUS = "-1"
 _PAULI_OUTCOMES = ((OUTCOME_PLUS, 1), (OUTCOME_MINUS, -1))
 
 
-def from_quantum(
-    graph: "KSGraph",
-    states: Mapping[str, DensityOperator],
-    realization: Realization,
-) -> OperationalTheory:
-    """Fill an operational theory from Born-rule probabilities.
-
-    Each graph vertex must be realized by exactly one measurement, each
-    measurement distinct; the comeasurability family comes from the
-    realization.  Joint tables exist precisely for the family's maximal
-    members; edges whose measurements are not comeasurable get none.
+def quantum_joints(graph: KSGraph, realization: Realization) -> tuple[list[str], list[tuple]]:
+    """Each vertex's one measurement and the maximal comeasurable sets as
+    vertex tuples, in vertex order; InvalidGraphError unless the labels are
+    distinct, all realized, and each maximal set's operators commute.
     """
-    from .quantum import joint_distribution
-
     n = graph.n_vertices
     labels = []
     for v in range(n):
@@ -440,37 +426,52 @@ def from_quantum(
         labels.append(next(iter(assoc)))
     if len(set(labels)) != n:
         raise InvalidGraphError("from_quantum needs distinct measurements per vertex")
-    operator_of = {labels[v]: graph.vertices[v][1] for v in range(n)}
+    vertex_of = {label: v for v, label in enumerate(labels)}
     maximal = realization.comeasurable.maximal
-    unknown = sorted(set().union(*maximal) - operator_of.keys())
+    unknown = sorted(set().union(*maximal) - vertex_of.keys())
     if unknown:
         raise InvalidGraphError(f"comeasurable set names unrealized labels {unknown}")
 
-    basics = [Measurement(label, _PAULI_OUTCOMES) for label in labels]
-    order = {label: i for i, label in enumerate(labels)}
-
     # every subset of a commuting set commutes, so the maximal sets suffice
-    tables: dict[Joint, dict[str, dict[tuple[str, ...], object]]] = {}
-    for joint in sorted(maximal, key=lambda j: sorted(map(order.get, j))):
-        members = sorted(joint, key=order.get)
-        ops = tuple(operator_of[label] for label in members)
+    joints = sorted(tuple(sorted(map(vertex_of.get, joint))) for joint in maximal)
+    for members in joints:
         try:
-            check_commuting(ops)
+            check_commuting([graph.vertices[v][1] for v in members])
         except ValueError as exc:
             raise InvalidGraphError(
                 "comeasurable set maps to non-commuting operators "
-                f"({', '.join(members)}: {exc}); no quantum representation"
+                f"({', '.join(labels[v] for v in members)}: {exc}); no quantum representation"
             ) from exc
+    return labels, joints
+
+
+def from_quantum(
+    graph: "KSGraph",
+    states: Mapping[str, DensityOperator],
+    realization: Realization,
+) -> OperationalTheory:
+    """Fill an operational theory from Born-rule probabilities.
+
+    The realization must pass ``quantum_joints`` and gives the family.
+    Joint tables exist precisely for the family's maximal members; edges
+    whose measurements are not comeasurable get none.
+    """
+    from .quantum import joint_distribution
+
+    labels, joints = quantum_joints(graph, realization)
+    tables: dict[Joint, dict[str, dict[tuple[str, ...], object]]] = {}
+    for members in joints:
+        ops = tuple(graph.vertices[v][1] for v in members)
         # joint_distribution lists the ±1 tuples in this same product order
         combos = list(product((OUTCOME_PLUS, OUTCOME_MINUS), repeat=len(members)))
-        tables[joint] = {
+        tables[frozenset(labels[v] for v in members)] = {
             prep: dict(zip(combos, joint_distribution(rho, ops).values()))
             for prep, rho in states.items()
         }
 
     return OperationalTheory(
-        basics=basics,
-        comeasurable=maximal,
+        basics=[Measurement(label, _PAULI_OUTCOMES) for label in labels],
+        comeasurable=realization.comeasurable.maximal,
         preparations=tuple(states),
         tables=tables,
     )

@@ -11,10 +11,12 @@ outcomes.  Each P_S is a signed permutation matrix in symplectic form
 entries rho[c][c ^ x_S], and a tuple's probability is a signed sum of 2^m
 such traces.  Support membership is a theorem-grade verdict and is decided
 without any state: Pi is a projection, so it is zero iff its trace
-2^(n-m) * sum over the S with P_S = ±I of s_S * (±1) is zero.  States may
-carry floating entries; whenever a state is exact (as all built-in
-preparations are), probabilities come out as exact Fractions and the
-eigenstate check compares them with 0 and 1 exactly.
+2^(n-m) * sum over the S with P_S = ±I of s_S * (±1) is zero.  Those S form
+a group, so the sum vanishes unless s_S is the sign of P_S on every one of
+them (``edge_relations``).  States may carry floating entries; whenever a
+state is exact (as all built-in preparations are), probabilities come out
+as exact Fractions and the eigenstate check compares them with 0 and 1
+exactly.
 
 The states themselves, and their exact validation, live in ``state``;
 this module reads their integer numerators and makes the projection
@@ -97,15 +99,17 @@ def _signed_sums(values: list) -> list:
     return values
 
 
-def _projection_traces(ops: tuple[PauliString, ...]) -> list[int]:
-    """2^m Tr(Pi_b) / 2^n for every outcome tuple b, from symbolic traces.
+def edge_relations(ops: tuple[PauliString, ...]) -> tuple[tuple[int, int], ...]:
+    """(subset, bit) for each nonempty subset of the commuting ops whose
+    product is ±I, bit 1 for -I, as a mask with operator k at bit m-1-k.
 
-    Tr(P_S) is 2^n * (+-1) when P_S is a signed identity and 0 otherwise;
-    a product of commuting hermitian words is hermitian, so its power is
-    even when it is a scalar.
+    An outcome index b (bit set: -1) has a nonzero joint projection iff
+    popcount(subset & b) % 2 == bit for every relation (module docstring).
     """
-    return _signed_sums(
-        [1 - word.power if word.is_scalar else 0 for word in _subset_products(ops)]
+    return tuple(
+        (subset, word.power // 2)
+        for subset, word in enumerate(_subset_products(ops))
+        if subset and word.is_scalar
     )
 
 
@@ -249,10 +253,12 @@ def support_table(graph: ks_graph.KSGraph) -> SupportTable:
     per_edge = []
     for e_idx in range(len(graph.hyperedges)):
         ops = graph.edge_operators(e_idx)
-        traces = _projection_traces(ops)
-        per_edge.append(
-            tuple(combo for combo, t in zip(_outcome_tuples(len(ops)), traces) if t)
-        )
+        relations = edge_relations(ops)
+        per_edge.append(tuple(
+            combo
+            for b, combo in enumerate(_outcome_tuples(len(ops)))
+            if all((subset & b).bit_count() % 2 == bit for subset, bit in relations)
+        ))
     return SupportTable(per_edge=tuple(per_edge))
 
 

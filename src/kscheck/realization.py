@@ -19,16 +19,12 @@ from functools import reduce
 from itertools import product
 from math import prod
 from operator import and_
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import BadArgumentError, CapExceededError
-from .graph import SEARCH_CAP, KSGraph, _bits, _maximal_cliques, check_cap, depth_first
-from .operational import OUTCOME_MINUS, OUTCOME_PLUS, Realization, _family_support, from_quantum
+from .graph import SEARCH_CAP, KSGraph, _bits, _echelon, _first_solution, _maximal_cliques, check_cap
+from .operational import Realization, quantum_joints
 from .pauli import all_commute, commutation_masks
-
-# only the type II pipeline prepares states; it imports the Born rule itself
-if TYPE_CHECKING:
-    from .state import DensityOperator
 
 SWEEP_POOL_LIMIT = 12
 SWEEP_ASSOC_LIMIT = 2
@@ -431,9 +427,11 @@ def run_type2_argument(
 
     (1) Prepare the common eigenstate of the one non-comeasurable edge
     selected by ``eigenstate_tuple`` and verify it operationally fixes that
-    edge's outcomes.  (2) Build the Born-rule operational theory on the
-    comeasurable edges.  (3) Search value assignments with the eigenstate
-    outcomes pinned and every comeasurable edge constrained to its support.
+    edge's outcomes.  (2) Take each comeasurable edge's support as the
+    tuples meeting its multiplicative relations (``edge_relations``), as
+    the always preparable maximally mixed state allows.  (3) Solve over
+    GF(2) with one unit row per pinned vertex and one row per relation of
+    every other edge; the witness is the first solution (+1 before -1).
     UNSAT means the argument succeeds.
 
     ``eigenstate_tuple`` defaults to all +1, with the last value -1 when
@@ -441,7 +439,7 @@ def run_type2_argument(
     the pinned edge's sign as inverted (no eigenstate exists for that, so
     step 1 is skipped) and must make the search satisfiable.
     """
-    from .quantum import born_probability, is_operational_eigenstate
+    from .quantum import born_probability, edge_relations, is_operational_eigenstate
     from .state import DensityOperator
 
     kind = classify_type(graph, realization)
@@ -466,11 +464,30 @@ def run_type2_argument(
             f"tuple {pinned} has product {prod(pinned)}, not admissible for sign {target}"
         )
 
-    states: dict[str, DensityOperator] = {
-        "mixed": DensityOperator.maximally_mixed(2 ** graph.operators[0].n_qubits)
-    }
+    # the search needs no tables, but the realization must admit them
+    quantum_joints(graph, realization)
+
+    def relation_rows(e_idx: int):
+        # edge_relations puts operator k at bit m-1-k of a subset
+        members = graph.hyperedges[e_idx][::-1]
+        for subset, bit in edge_relations(graph.edge_operators(e_idx)):
+            yield sum(1 << members[k] for k in _bits(subset)), bit
+
     eigenstate_verified = False
     if not flip_sign:
+        minus = sum(1 << v for v, value in zip(edge, pinned) if value == -1)
+        broken = [
+            (row, bit)
+            for row, bit in relation_rows(pinned_edge)
+            if (row & minus).bit_count() % 2 != bit
+        ]
+        if broken:
+            row, bit = min(broken)
+            names = "*".join(graph.vertices[v][0] for v in _bits(row))
+            raise BadArgumentError(
+                f"tuple {pinned} breaks the pinned edge's relation "
+                f"{names} = {'-' if bit else '+'}I: no state gives these outcomes"
+            )
         rho = DensityOperator.from_eigenspace(graph.edge_operators(pinned_edge), pinned)
         if not is_operational_eigenstate(rho, graph.edge_operators(pinned_edge)):
             raise BadArgumentError("selected preparation is not an operational eigenstate")
@@ -478,37 +495,17 @@ def run_type2_argument(
             if abs(float(born_probability(rho, op, value)) - 1.0) > 1e-10:
                 raise BadArgumentError("eigenstate fails to fix a pinned outcome")
         eigenstate_verified = True
-        states["pinned"] = rho
 
-    theory = from_quantum(graph, states, realization)
-    label_of = [next(iter(a)) for a in realization.assoc]
-    vertex_of = {label: v for v, label in enumerate(label_of)}
-    value_of = {OUTCOME_PLUS: 1, OUTCOME_MINUS: -1}
-    constraints = []
-    for e_idx, members in enumerate(graph.hyperedges):
+    rows = [(1 << v, int(value < 0)) for v, value in zip(edge, pinned)]
+    for e_idx in range(len(graph.hyperedges)):
         if e_idx != pinned_edge:
-            joint = frozenset(label_of[v] for v in members)
-            positions = [vertex_of[label] for label in theory.component_order(joint)]
-            allowed = {tuple(value_of[o] for o in t) for t in _family_support(theory, joint)}
-            constraints.append((positions, allowed))
-
-    # each pinned vertex tries only its eigenvalue
-    domains = [(1, -1)] * graph.n_vertices
-    for v, value in zip(edge, pinned):
-        domains[v] = (value,)
-    witness: tuple[int, ...] | None = None
-
-    def stop(values: tuple[int, ...], violated: int) -> int:
-        nonlocal witness
-        witness = values
-        return 0
-
-    depth_first(domains, constraints, 1, stop, cap)
+            rows.extend(relation_rows(e_idx))
+    pivots = _echelon(rows)
     return Type2Result(
-        satisfiable=witness is not None,
+        satisfiable=pivots is not None,
         pinned_edge=pinned_edge,
         pinned_tuple=pinned,
         eigenstate_verified=eigenstate_verified,
-        witness=witness,
+        witness=None if pivots is None else _first_solution(graph.n_vertices, pivots),
         sign_flipped=flip_sign,
     )

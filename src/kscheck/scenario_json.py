@@ -138,12 +138,16 @@ def _parse_states(doc: Any, path: str) -> dict[str, DensityOperator]:
     return states
 
 
+def _label(value: Any, what: str, path: str) -> str:
+    """A label, which must be a JSON string."""
+    if not isinstance(value, str):
+        _fail(f"{what} must be a string", path)
+    return value
+
+
 def _label_set(raw: list, path: str) -> set[str]:
     """The measurement labels of a JSON list; each must be a string."""
-    for j, label in enumerate(raw):
-        if not isinstance(label, str):
-            _fail("measurement label must be a string", f"{path}[{j}]")
-    return set(raw)
+    return {_label(label, "measurement label", f"{path}[{j}]") for j, label in enumerate(raw)}
 
 
 def _parse_realization(doc: Any, labels: list[str], path: str) -> Callable[[], Realization]:
@@ -181,9 +185,8 @@ def _parse_realization(doc: Any, labels: list[str], path: str) -> Callable[[], R
             _fail("tag needs 'vertex', 'measurement' and 'tag'", tpath)
         if not isinstance(item["vertex"], str) or item["vertex"] not in index_of:
             _fail(f"unknown vertex {item['vertex']!r}", tpath)
-        vertex, measurement = index_of[item["vertex"]], item["measurement"]
-        if not isinstance(measurement, str):
-            _fail("measurement label must be a string", f"{tpath}.measurement")
+        vertex = index_of[item["vertex"]]
+        measurement = _label(item["measurement"], "measurement label", f"{tpath}.measurement")
         if measurement not in assoc[vertex]:
             _fail(f"vertex {item['vertex']!r} is not associated with {measurement!r}", tpath)
         tags[(vertex, measurement)] = str(item["tag"])
@@ -226,15 +229,24 @@ def _parse_theory(doc: Any, path: str) -> OperationalTheory:
             opath = f"{mpath}.outcomes[{j}]"
             if not isinstance(pair, list) or len(pair) != 2:
                 _fail("outcome must be a [label, value] pair", opath)
-            outcomes.append((str(pair[0]), _number(pair[1], opath)))
+            name = _label(pair[0], "outcome label", f"{opath}[0]")
+            outcomes.append((name, _number(pair[1], opath)))
+        label = _label(item["label"], "measurement label", f"{mpath}.label")
         try:
-            basics.append(Measurement(str(item["label"]), tuple(outcomes)))
+            basics.append(Measurement(label, tuple(outcomes)))
         except ValueError as exc:
             _fail(str(exc), mpath)
     preparations = doc.get("preparations")
     if not isinstance(preparations, list) or not preparations:
         _fail("'preparations' must be a nonempty list", f"{path}.preparations")
-    comeasurable = doc.get("comeasurable", [])
+    preparations = [
+        _label(p, "preparation", f"{path}.preparations[{j}]") for j, p in enumerate(preparations)
+    ]
+    cpath = f"{path}.comeasurable"
+    comeasurable = [
+        _label_set(_expect(raw, list, "a comeasurable set", f"{cpath}[{i}]"), f"{cpath}[{i}]")
+        for i, raw in enumerate(_expect(doc.get("comeasurable", []), list, "'comeasurable'", cpath))
+    ]
     entries = doc.get("entries")
     if not isinstance(entries, list):
         _fail("'entries' must be a list", f"{path}.entries")
@@ -244,7 +256,7 @@ def _parse_theory(doc: Any, path: str) -> OperationalTheory:
         if not isinstance(item, dict) or not {"measurements", "preparation", "distribution"} <= set(item):
             _fail("entry needs 'measurements', 'preparation', 'distribution'", epath)
         raw = _expect(item["measurements"], list, "'measurements'", f"{epath}.measurements")
-        joint = frozenset(map(str, raw))
+        joint = frozenset(_label_set(raw, f"{epath}.measurements"))
         order = [m.label for m in basics if m.label in joint]
         dist = {}
         raw = _expect(item["distribution"], dict, "'distribution'", f"{epath}.distribution")
@@ -256,10 +268,10 @@ def _parse_theory(doc: Any, path: str) -> OperationalTheory:
                     f"{epath}.distribution",
                 )
             dist[combo] = _number(value, f"{epath}.distribution.{key}")
-        tables.setdefault(joint, {})[str(item["preparation"])] = dist
+        prep = _label(item["preparation"], "preparation", f"{epath}.preparation")
+        tables.setdefault(joint, {})[prep] = dist
     try:
-        return OperationalTheory(basics, [set(map(str, s)) for s in comeasurable],
-                                 [str(p) for p in preparations], tables)
+        return OperationalTheory(basics, comeasurable, preparations, tables)
     except Exception as exc:
         _fail(f"invalid theory: {exc}", path)
 
@@ -272,6 +284,7 @@ def _parse_model(doc: Any, theory: OperationalTheory, path: str) -> OntologicalM
     ontic = doc.get("ontic_states")
     if not isinstance(ontic, list) or not ontic:
         _fail("'ontic_states' must be a nonempty list", f"{path}.ontic_states")
+    ontic = [_label(s, "ontic state", f"{path}.ontic_states[{j}]") for j, s in enumerate(ontic)]
     ppath = f"{path}.preparations"
     preps = {}
     for prep, dist in _expect(doc.get("preparations", {}), dict, "'preparations'", ppath).items():
@@ -286,15 +299,15 @@ def _parse_model(doc: Any, theory: OperationalTheory, path: str) -> OntologicalM
         if not isinstance(item, dict) or not {"measurements", "ontic", "distribution"} <= set(item):
             _fail("response needs 'measurements', 'ontic', 'distribution'", rpath)
         raw = _expect(item["measurements"], list, "'measurements'", f"{rpath}.measurements")
-        joint = frozenset(map(str, raw))
+        joint = frozenset(_label_set(raw, f"{rpath}.measurements"))
         raw = _expect(item["distribution"], dict, "'distribution'", f"{rpath}.distribution")
         dist = {
             tuple(key.split(",")): _number(v, f"{rpath}.distribution.{key}")
             for key, v in raw.items()
         }
-        responses[(joint, str(item["ontic"]))] = dist
+        responses[(joint, _label(item["ontic"], "ontic state", f"{rpath}.ontic"))] = dist
     try:
-        return OntologicalModel(theory.basics, theory.maximal_joints, [str(s) for s in ontic], preps, responses)
+        return OntologicalModel(theory.basics, theory.maximal_joints, ontic, preps, responses)
     except Exception as exc:
         _fail(f"invalid model: {exc}", path)
 

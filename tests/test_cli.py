@@ -325,6 +325,58 @@ class TestGhz:
         assert out == ""
 
 
+    def test_tuple_breaking_a_relation_exit_six(self, capsys, tmp_path):
+        # the pinned edge {a, b, c, d} = {ZI, ZI, IZ, IZ} has the relations
+        # ab = cd = +I beside its full product, and no state gives a tuple
+        # that meets the product but breaks one of them
+        doc = {
+            "name": "repeated-words",
+            "vertices": [
+                {"label": label, "operator": word}
+                for label, word in zip("abcd", ("ZI", "ZI", "IZ", "IZ"))
+            ],
+            "hyperedges": [[0, 1, 2, 3], [0, 1], [2, 3]],
+            "realizations": {
+                "r": {"assoc": {label: [label] for label in "abcd"},
+                      "comeasurable": [["a", "b"], ["c", "d"]]}
+            },
+        }
+        path = tmp_path / "repeated-words.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "ghz", str(path), "--realization", "r",
+                             "--tuple", "+1,-1,+1,-1")
+        assert code == 6
+        assert out == ""
+        assert err == (
+            "bad argument: tuple (1, -1, 1, -1) breaks the pinned edge's relation "
+            "a*b = +I: no state gives these outcomes\n"
+        )
+        code, out, err = run(capsys, "ghz", str(path), "--realization", "r",
+                             "--tuple", "+1,+1,-1,-1", "--json")
+        assert code == 0, err
+        assert json.loads(out)["witnesses"] == [[1, 1, -1, -1]]
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda r: r["assoc"]["XII"].append("extra"),
+             "vertex XII: from_quantum needs a unique realization"),
+            (lambda r: r["comeasurable"].append(["XII", "YII"]),
+             "comeasurable set maps to non-commuting operators "
+             "(XII, YII: +XII and +YII do not commute); no quantum representation"),
+        ],
+    )
+    def test_no_quantum_representation_exit_three(self, capsys, tmp_path, change, message):
+        # both realizations stay type II, so the pipeline reaches the check
+        doc = builtin_doc(capsys, "ghz")
+        change(doc["realizations"]["standard"])
+        path = tmp_path / "ghz.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "ghz", str(path), "--realization", "standard")
+        assert code == 3
+        assert out == ""
+        assert err == f"invalid graph: {message}\n"
+
     def test_edge_inside_a_larger_comeasurable_set(self, capsys, tmp_path):
         # the square plus j = ZZ and the edge {a, b, j}, which is comeasurable
         # only as part of {a, b, c, j}; the third column stays the one
@@ -913,6 +965,20 @@ def _mutate(doc, path, value):
         (("tables", "entries", 0, "distribution"), [1], "$.tables.entries[0].distribution"),
         (("tables", "entries", 0, "measurements"), 7, "$.tables.entries[0].measurements"),
         (("tables", "measurements", 0, "outcomes"), 7, "$.tables.measurements[0].outcomes"),
+        # labels must be JSON strings, not read through str()
+        (("tables", "measurements", 0, "label"), ["color"], "$.tables.measurements[0].label"),
+        (("tables", "measurements", 0, "outcomes", 0, 0), 1,
+         "$.tables.measurements[0].outcomes[0][0]"),
+        (("tables", "comeasurable", 0), "color", "$.tables.comeasurable[0]"),
+        (("tables", "comeasurable", 0, 0), ["color"], "$.tables.comeasurable[0][0]"),
+        (("tables", "preparations", 0), 1, "$.tables.preparations[0]"),
+        (("tables", "entries", 0, "measurements", 0), ["color"],
+         "$.tables.entries[0].measurements[0]"),
+        (("tables", "entries", 0, "preparation"), 1, "$.tables.entries[0].preparation"),
+        (("models", "m1", "ontic_states", 0), 1, "$.models.m1.ontic_states[0]"),
+        (("models", "m1", "responses", 0, "measurements", 0), ["color"],
+         "$.models.m1.responses[0].measurements[0]"),
+        (("models", "m1", "responses", 0, "ontic"), 1, "$.models.m1.responses[0].ontic"),
     ],
 )
 def test_mistyped_box_blocks_exit_two(capsys, tmp_path, where, value, expected_path):

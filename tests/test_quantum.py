@@ -8,7 +8,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from kscheck import catalog
+from kscheck import catalog, operational, quantum
+from kscheck import graph as ks_graph
 from kscheck.exact import ComplexMatrix, GaussianRational
 from kscheck.graph import KSGraph, admissible_tuples, build_graph
 from kscheck.ontology import min_violation_fraction
@@ -496,3 +497,35 @@ class TestPaddedPentagramKnownAnswer:
         assert result.satisfiable is False
         assert result.eigenstate_verified is True
         assert result.pinned_edge == catalog.GHZ_HORIZONTAL
+
+    @pytest.mark.parametrize("n_qubits", [3, 6])
+    def test_type_two_without_born_tables(self, monkeypatch, n_qubits):
+        # supports come from edge_relations and the search is elimination;
+        # only the eigenstate check reads Born probabilities, on the pinned
+        # edge's own words
+        if n_qubits == 3:
+            graph, standard = catalog.ghz_graph(), catalog.ghz_standard_realization()
+        else:
+            graph, _, standard = _padded_pentagram(n_qubits, (1, 3, 4))
+        pinned_words = set(graph.edge_operators(catalog.GHZ_HORIZONTAL))
+        born = quantum.joint_distribution
+
+        def pinned_edge_only(rho, ops):
+            if not set(ops) <= pinned_words:
+                raise AssertionError("Born table on the type II search path")
+            return born(rho, ops)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("theory, mixed state or table search on the type II path")
+
+        monkeypatch.setattr(quantum, "joint_distribution", pinned_edge_only)
+        monkeypatch.setattr(operational, "from_quantum", refuse)
+        monkeypatch.setattr(ks_graph, "depth_first", refuse)
+        monkeypatch.setattr(DensityOperator, "maximally_mixed", refuse)
+        result = run_type2_argument(graph, standard, (1, 1, 1, -1))
+        assert result.satisfiable is False
+        assert result.eigenstate_verified is True
+        assert result.pinned_edge == catalog.GHZ_HORIZONTAL
+        flipped = run_type2_argument(graph, standard, flip_sign=True)
+        assert flipped.satisfiable is True
+        assert flipped.eigenstate_verified is False

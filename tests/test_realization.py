@@ -1,6 +1,7 @@
 """Realizations: uniqueness, argument types, the lemma, collapse, type II."""
 
 from itertools import product
+from math import prod
 
 import pytest
 
@@ -8,7 +9,7 @@ from kscheck import catalog
 from kscheck.errors import BadArgumentError
 from kscheck.graph import admissible_tuples, build_graph
 from kscheck.operational import OUTCOME_MINUS, OUTCOME_PLUS, from_quantum, support
-from kscheck.quantum import joint_projection
+from kscheck.quantum import edge_relations, joint_projection, support_table
 from kscheck.realization import (
     Realization,
     classify_type,
@@ -279,6 +280,50 @@ class TestTypeTwoPipeline:
             assert result.pinned_edge == edge
             assert result.satisfiable == (expected is not None), combo
             assert result.witness == expected, combo
+
+    @pytest.mark.parametrize(
+        "vertices, edges, comeasurable, relations",
+        [
+            # the pentagram with its XXX line grown to the 7 X words on three
+            # qubits: 4 independent relations, 2^4 - 1 in all
+            (
+                [word for _, word in catalog.GHZ_VERTICES] + ["XXI", "XIX", "IXX"],
+                [[0, 2, 4, 6, 10, 11, 12], *catalog.GHZ_EDGES[1:]],
+                [[0, 2, 4, 6, 10, 11, 12], *catalog.GHZ_EDGES[1:4]],
+                15,
+            ),
+            # {ZI, ZI, IZ, IZ}: repeated words, 2 independent relations
+            (["ZI", "ZI", "IZ", "IZ", "ZZ"], [[0, 1, 2, 3], [0, 2, 4], [1, 3, 4]],
+             [[0, 1, 2, 3], [1, 3, 4]], 3),
+            # the same edge pinned: tuples off its relations have no state
+            (["ZI", "ZI", "IZ", "IZ"], [[0, 1, 2, 3], [0, 1], [2, 3]], [[0, 1], [2, 3]], 3),
+        ],
+    )
+    @pytest.mark.parametrize("flip_sign", [False, True])
+    def test_matches_full_scan_with_several_relations(
+        self, vertices, edges, comeasurable, relations, flip_sign
+    ):
+        labels = [f"v{k}" for k in range(len(vertices))]
+        graph = build_graph(zip(labels, vertices), edges)
+        realization = Realization.build(
+            [{label} for label in labels], [[labels[v] for v in s] for s in comeasurable]
+        )
+        pinned = classify_type(graph, realization).non_comeasurable_edges[0]
+        assert len(edge_relations(graph.edge_operators(0))) == relations
+        target = -graph.edge_signs[pinned] if flip_sign else graph.edge_signs[pinned]
+        combos = [c for c in product((1, -1), repeat=len(edges[pinned])) if prod(c) == target]
+        supported = support_table(graph).tuples_for(pinned)
+        for combo in combos:
+            if not flip_sign and combo not in supported:
+                with pytest.raises(BadArgumentError, match="relation"):
+                    run_type2_argument(graph, realization, combo)
+                continue
+            result = run_type2_argument(graph, realization, combo, flip_sign=flip_sign)
+            expected = type2_full_scan(graph, realization, pinned, combo, flip_sign)
+            assert result.pinned_edge == pinned
+            assert result.eigenstate_verified is not flip_sign
+            assert result.witness == expected, combo
+            assert result.satisfiable == (expected is not None), combo
 
     def test_all_admissible_tuples_unsat(self, ghz_graph):
         realization = catalog.ghz_standard_realization()
