@@ -17,7 +17,6 @@ from kscheck import (
     support_table,
 )
 from kscheck.catalog import peres_mermin_graph, pm_states
-from kscheck.quantum import joint_projection
 from kscheck.state import DensityOperator
 
 
@@ -53,8 +52,8 @@ def main():
     z00 = pm_states()["z00"]
     print("  operational eigenstate of row 1:",
           is_operational_eigenstate(z00, graph.edge_operators(0)))
-    rank1 = joint_projection(graph.edge_operators(0), (1, 1, 1))
-    print("  rank of the (+1,+1,+1) joint projection:", rank1.trace())
+    rank1 = sum(1 for _, outcomes in basis if outcomes == (1, 1, 1))
+    print("  rank of the (+1,+1,+1) joint projection:", rank1)
 
 
 if __name__ == "__main__":

@@ -2,13 +2,15 @@
 
 The package splits the job the way the arguments themselves do:
 
-- ``pauli`` / ``exact``: phase-tracked operator algebra with an exact
-  Q[i] matrix oracle;
+- ``pauli``: phase-tracked Pauli words and their algebra on symplectic
+  bitmasks;
 - ``graph``: hypergraphs of commuting observables, the one depth-first
   constraint search, and FUNC value assignments, solved as a GF(2) parity
   system, with parity certificates;
-- ``state``: density operators, exact (validated exactly) or floating point;
-- ``quantum``: Born-rule probabilities, support tables, common eigenbases;
+- ``state``: density operators, exact (integer numerators, validated
+  exactly) or floating point;
+- ``quantum``: Born-rule probabilities, support tables and common
+  eigenbases, all from the Pauli expansion of joint projections;
 - ``operational``: measurements, comeasurability, realizations (the
   vertex-measurement associations), probability tables, no-disturbance;
 - ``ontology``: ontic states, response functions, noncontextuality,
@@ -29,15 +31,11 @@ __version__ = "0.1.0"
 
 # the module that defines each public name
 _HOME = {
-    "ComplexMatrix": "exact",
-    "GaussianRational": "exact",
     "PauliString": "pauli",
     "Phase": "pauli",
     "commutes": "pauli",
     "edge_product": "pauli",
     "multiply": "pauli",
-    "spectral_projection": "pauli",
-    "to_matrix": "pauli",
     "KSGraph": "graph",
     "TheoremVerdict": "graph",
     "ParityCertificate": "graph",

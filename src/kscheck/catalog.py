@@ -99,13 +99,10 @@ def _maximally_mixed(dim: int) -> DensityOperator:
 
 @lru_cache(maxsize=None)
 def pm_z00_state() -> DensityOperator:
-    from .exact import ComplexMatrix
     from .state import DensityOperator
 
-    z00 = ComplexMatrix(
-        [[1 if i == j == 0 else 0 for j in range(4)] for i in range(4)]
-    )
-    return DensityOperator.from_exact(z00)
+    # |00><00|: the one entry (0, 0) is 1/1
+    return DensityOperator._from_numerators({0: 1}, {}, 4, 1)
 
 
 @lru_cache(maxsize=None)
@@ -179,15 +176,11 @@ def ghz_standard_realization() -> Realization:
 
 @lru_cache(maxsize=None)
 def ghz_state() -> DensityOperator:
-    from .exact import ComplexMatrix
     from .state import DensityOperator
 
-    half = Fraction(1, 2)
-    rows = [[0] * 8 for _ in range(8)]
-    for i in (0, 7):
-        for j in (0, 7):
-            rows[i][j] = half
-    return DensityOperator.from_exact(ComplexMatrix(rows))
+    # (|000> + |111>)(<000| + <111|) / 2: entries (0, 0), (0, 7), (7, 0), (7, 7)
+    corners = {r * 8 + c: 1 for r in (0, 7) for c in (0, 7)}
+    return DensityOperator._from_numerators(corners, {}, 8, 2)
 
 
 @lru_cache(maxsize=None)

@@ -481,9 +481,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fold_tuple(argv: list[str]) -> list[str]:
+    """``--tuple VALUE`` as ``--tuple=VALUE``, so that a value with a
+    leading minus (``-1,+1,+1,+1``) is not read as an option."""
+    folded: list[str] = []
+    for arg in argv:
+        if folded and folded[-1] == "--tuple" and not arg.startswith("--"):
+            folded[-1] = f"--tuple={arg}"
+        else:
+            folded.append(arg)
+    return folded
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_fold_tuple(sys.argv[1:] if argv is None else argv))
     try:
         report = args.func(args)
     except ScenarioParseError as exc:

@@ -374,7 +374,11 @@ def is_nondisturbing(
 
 
 def support(theory: OperationalTheory, joint: Joint) -> tuple[tuple[str, ...], ...]:
-    """Outcome tuples with probability above 1e-12 in some preparation."""
+    """Outcome tuples with nonzero probability in some preparation.
+
+    An exact probability is nonzero when it is above 0; a float one, when
+    it is above 1e-12.
+    """
     joint = frozenset(joint)
     if joint not in theory.maximal_joints:
         raise ValueError(f"{set(joint)} is not a maximal joint")
@@ -382,10 +386,14 @@ def support(theory: OperationalTheory, joint: Joint) -> tuple[tuple[str, ...], .
         outcomes
         for outcomes in theory.outcome_tuples(joint)
         if any(
-            float(theory.probability(joint, outcomes, prep)) > SUPPORT_TOL
+            _positive(theory.probability(joint, outcomes, prep))
             for prep in theory.preparations
         )
     )
+
+
+def _positive(p) -> bool:
+    return p > SUPPORT_TOL if isinstance(p, float) else p > 0
 
 
 def eigenstate_preparations(theory: OperationalTheory, joint: Joint) -> tuple[str, ...]:

@@ -1,4 +1,4 @@
-"""Phase-tracked Pauli words, their one algebra (symplectic masks) and a dense oracle.
+"""Phase-tracked Pauli words and their one algebra, symplectic masks.
 
 A word is stored and printed as a phase in {+1, -1, +i, -i} and a letter
 per qubit from {I, X, Y, Z}; the letters are storage and text only.  The
@@ -6,22 +6,16 @@ algebra is ``PauliString.symplectic``, an x mask, a z mask and an i-power
 (Aaronson and Gottesman, PRA 70, 052328, 2004): products, commutation,
 signed identities, the shared checks below, and the Born-rule sweeps,
 which read the word as P[c ^ x][c] = i**power * (-1)**popcount(c & z).
-``to_matrix`` and ``spectral_projection`` build the exact dense Q[i]
-matrices; they cross-check the masks and are not on any verdict path.
+No dense matrix of a word is ever built.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from functools import cached_property, lru_cache
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from functools import cached_property
+from typing import Iterable, NamedTuple, Sequence
 
-# the dense oracle imports the exact matrices where it builds them
-if TYPE_CHECKING:
-    from .exact import ComplexMatrix
-
-# Born tables sweep O(2^n) entries per Pauli product, and the dense 2^n x 2^n
-# oracle matrices stay affordable too; all shipped scenarios need <= 3.
+# Born tables sweep O(2^n) entries per Pauli product and a state holds up to
+# 4^n of them; all shipped scenarios need <= 3.
 MAX_QUBITS = 8
 
 LETTERS = "IXYZ"
@@ -62,13 +56,6 @@ class Phase:
     def value(self) -> complex:
         return 1j**self.power
 
-    def to_exact(self):
-        re = (1, 0, -1, 0)[self.power]
-        im = (0, 1, 0, -1)[self.power]
-        from .exact import GaussianRational
-
-        return GaussianRational(re, im)
-
     def __str__(self):
         return _PHASE_STR[self.power]
 
@@ -80,7 +67,8 @@ class Symplectic(NamedTuple):
     """A Pauli word as bitmasks: P[c ^ x][c] = i**power * (-1)**popcount(c & z).
 
     The word is i**power * X^x Z^z, with bit n-1-k of each mask standing for
-    qubit k, so that matrix indices read in ``to_matrix``'s kron order.
+    qubit k, so that matrix indices read qubit 0 as the most significant bit,
+    the Kronecker-product order.
     ``*`` is the operator product, not tuple repetition.
     """
 
@@ -261,48 +249,6 @@ def multiply(a: PauliString, b: PauliString) -> PauliString:
 def commutes(a: PauliString, b: PauliString) -> bool:
     """True iff a*b == b*a; see ``Symplectic.commutes``."""
     return a.commutes(b)
-
-
-@lru_cache(maxsize=None)
-def _letter_matrix(letter: str) -> ComplexMatrix:
-    from .exact import ComplexMatrix, GaussianRational
-
-    i = GaussianRational(0, 1)
-    table = {
-        "I": [[1, 0], [0, 1]],
-        "X": [[0, 1], [1, 0]],
-        "Y": [[0, -i], [i, 0]],
-        "Z": [[1, 0], [0, -1]],
-    }
-    return ComplexMatrix(table[letter])
-
-
-@lru_cache(maxsize=4096)
-def to_matrix(p: PauliString) -> ComplexMatrix:
-    """Dense 2^n exact matrix of the word, phase included."""
-    m = _letter_matrix(p.letters[0])
-    for letter in p.letters[1:]:
-        m = m.kron(_letter_matrix(letter))
-    if p.phase.power == 0:
-        return m
-    return m.scale(p.phase.to_exact())
-
-
-@lru_cache(maxsize=4096)
-def spectral_projection(p: PauliString, eigenvalue: int) -> ComplexMatrix:
-    """Projection (I + eigenvalue * p) / 2 onto the ±1 eigenspace.
-
-    Requires a hermitian, non-identity word (so both eigenvalues occur).
-    """
-    from .exact import ComplexMatrix
-
-    if eigenvalue not in (1, -1):
-        raise ValueError(f"eigenvalue must be +1 or -1, got {eigenvalue!r}")
-    check_two_valued(p)
-    m = to_matrix(p)
-    if eigenvalue == -1:
-        m = -m
-    return (ComplexMatrix.identity(m.dim) + m).scale(Fraction(1, 2))
 
 
 def edge_product(ops: Sequence[PauliString] | Iterable[PauliString]) -> int:

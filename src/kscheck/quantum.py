@@ -20,12 +20,9 @@ exactly.
 
 The states themselves, and their exact validation, live in ``state``;
 this module reads their integer numerators and makes the projection
-numerators ``DensityOperator.from_eigenspace`` normalizes.  numpy is
-imported only for float states and ``common_eigenbasis``, so the exact
-verdict path never loads it.
-
-The dense Q[i] products (``joint_projection`` from ``spectral_projection``)
-stay as the independent oracle the tests check all of this against.
+numerators ``DensityOperator.from_eigenspace`` normalizes and
+``common_eigenbasis`` diagonalizes.  numpy is imported only for float
+states and ``common_eigenbasis``, so the exact verdict path never loads it.
 """
 
 from __future__ import annotations
@@ -36,14 +33,12 @@ from itertools import product
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from . import graph as ks_graph
-from .exact import ComplexMatrix
 from .pauli import (
     SYMPLECTIC_IDENTITY,
     PauliString,
     Symplectic,
     check_commuting,
     check_two_valued,
-    spectral_projection,
 )
 
 if TYPE_CHECKING:
@@ -194,24 +189,6 @@ def born_probability(rho: DensityOperator, p: PauliString, eigenvalue: int):
     return joint_distribution(rho, (p,))[(eigenvalue,)]
 
 
-@lru_cache(maxsize=None)
-def joint_projection(
-    ops: tuple[PauliString, ...], outcomes: tuple[int, ...]
-) -> ComplexMatrix:
-    """Exact product of the spectral projections of commuting operators.
-
-    The dense oracle for ``DensityOperator.from_eigenspace`` and
-    ``support_table``.
-    """
-    if len(ops) != len(outcomes):
-        raise ValueError("one outcome per operator required")
-    check_commuting(ops)
-    result = spectral_projection(ops[0], outcomes[0])
-    for op, outcome in zip(ops[1:], outcomes[1:]):
-        result = result @ spectral_projection(op, outcome)
-    return result
-
-
 def joint_born_probability(
     rho: DensityOperator,
     ops: Sequence[PauliString],
@@ -250,16 +227,21 @@ def support_table(graph: ks_graph.KSGraph) -> SupportTable:
     subset of the edge multiplies to ±I.  Otherwise it is smaller: the edge
     {ZI, ZI, IZ, IZ} has 8 admissible tuples and 4 supported ones.
     """
-    per_edge = []
-    for e_idx in range(len(graph.hyperedges)):
-        ops = graph.edge_operators(e_idx)
-        relations = edge_relations(ops)
-        per_edge.append(tuple(
-            combo
-            for b, combo in enumerate(_outcome_tuples(len(ops)))
-            if all((subset & b).bit_count() % 2 == bit for subset, bit in relations)
-        ))
-    return SupportTable(per_edge=tuple(per_edge))
+    return SupportTable(per_edge=tuple(
+        _supported_tuples(graph.edge_operators(e_idx))
+        for e_idx in range(len(graph.hyperedges))
+    ))
+
+
+def _supported_tuples(ops: tuple[PauliString, ...]) -> tuple[tuple[int, ...], ...]:
+    """The outcome tuples of the commuting ops with a nonzero joint
+    projection, in ``product((1, -1), repeat=m)`` order."""
+    relations = edge_relations(ops)
+    return tuple(
+        combo
+        for b, combo in enumerate(_outcome_tuples(len(ops)))
+        if all((subset & b).bit_count() % 2 == bit for subset, bit in relations)
+    )
 
 
 def common_eigenbasis(
@@ -267,42 +249,27 @@ def common_eigenbasis(
 ) -> list[tuple[np.ndarray, tuple[int, ...]]]:
     """Orthonormal simultaneous eigenvectors with their eigenvalue tuples.
 
-    Works by projection refinement: the space is split by each operator's
-    ±1 projections in turn, keeping the nonzero intersections.  The joint
-    projections (and hence the surviving tuples and multiplicities) are
-    exact; only the final orthonormal vectors are floating point.
+    The tuples are the supported ones, in ``product((1, -1), repeat=m)``
+    order.  Each tuple's joint projection 2^-m sum_S s_S P_S is built from
+    its exact numerators; its rank is its trace, and ``numpy.linalg.eigh``
+    gives that many orthonormal vectors of its range, the only
+    floating-point step.
     """
     import numpy as np
 
     ops = tuple(ops)
-    if not ops:
-        raise ValueError("need at least one operator")
-    # mutual commutation is what makes the refinement products projections
-    check_commuting(ops)
-    dim = 2 ** ops[0].n_qubits
-    branches: list[tuple[ComplexMatrix, tuple[int, ...]]] = [
-        (ComplexMatrix.identity(dim), ())
-    ]
-    for op in ops:
-        refined = []
-        for projection, outcomes in branches:
-            for eigenvalue in (1, -1):
-                candidate = projection @ spectral_projection(op, eigenvalue)
-                if not candidate.is_zero():
-                    refined.append((candidate, outcomes + (eigenvalue,)))
-        branches = refined
-
+    scale = 2 ** len(ops)
     basis: list[tuple[np.ndarray, tuple[int, ...]]] = []
-    for projection, outcomes in branches:
-        rank_exact = projection.trace()
-        rank = int(rank_exact.re)
-        if rank_exact.im != 0 or Fraction(rank) != rank_exact.re:
-            raise ValueError("projection rank is not an integer; inputs not commuting?")
-        eigenvalues, eigenvectors = np.linalg.eigh(projection.to_numpy())
+    for outcomes in _supported_tuples(ops):
+        re, im, dim = _projection_numerators(ops, outcomes)
+        projection = np.zeros((dim, dim), dtype=complex)
+        for key in re.keys() | im.keys():
+            projection.flat[key] = complex(re.get(key, 0) / scale, im.get(key, 0) / scale)
+        rank = sum(re.get(c * dim + c, 0) for c in range(dim)) // scale
+        eigenvalues, eigenvectors = np.linalg.eigh(projection)
         # eigh sorts ascending; the range of the projection is the tail
         for column in range(dim - rank, dim):
-            vector = eigenvectors[:, column]
-            basis.append((vector, outcomes))
+            basis.append((eigenvectors[:, column], outcomes))
     return basis
 
 

@@ -20,7 +20,6 @@ from .scenario import LazyBlocks, Scenario, _fail
 # Each block parser imports the module its block needs, so a call loads only
 # what its input carries; realizations are checked here and built on first read.
 if TYPE_CHECKING:
-    from .exact import GaussianRational
     from .ontology import OntologicalModel
     from .operational import OperationalTheory, Realization
     from .state import DensityOperator
@@ -70,8 +69,9 @@ def _parse_graph(doc: dict, path: str) -> KSGraph:
         vpath = f"{path}.vertices[{i}]"
         if not isinstance(item, dict) or "label" not in item or "operator" not in item:
             _fail("vertex needs 'label' and 'operator'", vpath)
+        label = _label(item["label"], "vertex label", f"{vpath}.label")
         try:
-            vertices.append((str(item["label"]), str(item["operator"])))
+            vertices.append((label, str(item["operator"])))
         except (TypeError, ValueError) as exc:
             _fail(str(exc), vpath)
     hyperedges = doc.get("hyperedges")
@@ -124,7 +124,7 @@ def _parse_states(doc: Any, path: str) -> dict[str, DensityOperator]:
                     for re, im in row
                 )
                 if exact:
-                    states[label] = DensityOperator._from_fraction_rows(parsed)
+                    states[label] = DensityOperator.from_exact(parsed)
                 else:
                     states[label] = DensityOperator(
                         [[complex(float(re), float(im)) for re, im in row] for row in parsed]
@@ -189,7 +189,7 @@ def _parse_realization(doc: Any, labels: list[str], path: str) -> Callable[[], R
         measurement = _label(item["measurement"], "measurement label", f"{tpath}.measurement")
         if measurement not in assoc[vertex]:
             _fail(f"vertex {item['vertex']!r} is not associated with {measurement!r}", tpath)
-        tags[(vertex, measurement)] = str(item["tag"])
+        tags[(vertex, measurement)] = _label(item["tag"], "function tag", f"{tpath}.tag")
     carried = set().union(*assoc)
     sets = []
     for i, raw in enumerate(comeasurable):
@@ -357,10 +357,15 @@ def _value_to_json(value):
     return float(value)
 
 
-def _entry_to_json(entry: GaussianRational | complex):
-    if isinstance(entry, complex):
-        return [entry.real, entry.imag]
-    return [str(entry.re), str(entry.im)]
+def _exact_rows(rho: DensityOperator) -> list[list[list[str]]]:
+    """An exact state's entries as ["re", "im"] rational strings, read from
+    its numerators over their common denominator."""
+    by_shift, denominator = rho._entries_by_shift()
+    rows = [[["0", "0"] for _ in range(rho.dim)] for _ in range(rho.dim)]
+    for shift, entries in by_shift.items():
+        for r, a, b in entries:
+            rows[r][r ^ shift] = [str(Fraction(a, denominator)), str(Fraction(b, denominator))]
+    return rows
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
@@ -376,10 +381,10 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     if scenario.states:
         states = {}
         for label, rho in scenario.states.items():
-            if rho.exact is not None:
-                rows = [[_entry_to_json(v) for v in row] for row in rho.exact.rows]
+            if rho._is_exact:
+                rows = _exact_rows(rho)
             else:
-                rows = [[_entry_to_json(v) for v in row] for row in rho.matrix.tolist()]
+                rows = [[[v.real, v.imag] for v in row] for row in rho.matrix.tolist()]
             states[label] = {"density": rows}
         doc["states"] = states
     if scenario.realizations:

@@ -4,10 +4,10 @@ A ``DensityOperator`` is validated when it is made.  An exact state is
 validated exactly, on its integer numerators over the least common
 denominator: hermiticity cell by cell, the trace as a sum, and positivity
 by a fraction-free LDL* elimination over the nonzero entries.  Those
-numerators, grouped for the Born sweeps in ``quantum``, are all an exact
-state keeps; its Q[i] matrix (``exact``) and its numpy copy (``matrix``)
-are built on first read.  So a scenario file's exact states load neither
-``exact``, ``quantum`` nor numpy until a verb computes with them.
+numerators, grouped for the Born sweeps in ``quantum``, are the one form
+an exact state has; its numpy copy (``matrix``) is built from them on
+first read.  So a scenario file's exact states load neither ``quantum``
+nor numpy until a verb computes with them.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from typing import TYPE_CHECKING, Sequence
 if TYPE_CHECKING:
     import numpy as np
 
-    from .exact import ComplexMatrix
     from .pauli import PauliString
 
 HERMITICITY_TOL = 1e-10
@@ -29,16 +28,15 @@ PSD_TOL = 1e-10
 class DensityOperator:
     """A quantum state: exact over Q[i], or floating point.
 
-    Exact states (``from_exact``, ``from_projection``, ``from_eigenspace``,
-    ``maximally_mixed``) are validated exactly and keep their integer
-    numerators for the Born sweeps; ``exact``, their Q[i] matrix, and
-    ``matrix``, their floating-point copy, are built from those on first
-    access (numpy is imported for ``matrix`` only).  Float states
+    Exact states (``from_exact``, ``from_eigenspace``, ``maximally_mixed``)
+    are validated exactly and keep only their integer numerators, for the
+    Born sweeps; ``matrix``, their floating-point copy, is built from those
+    on first access (numpy is imported for ``matrix`` only).  Float states
     (``DensityOperator(matrix)``, ``from_state_vector``) are checked within
-    the tolerances below, and their ``exact`` is None.
+    the tolerances below.
     """
 
-    __slots__ = ("dim", "_is_exact", "_exact", "_matrix", "_by_shift")
+    __slots__ = ("dim", "_is_exact", "_matrix", "_by_shift")
 
     def __init__(self, matrix: np.ndarray):
         import numpy as np
@@ -57,36 +55,22 @@ class DensityOperator:
             )
         self._matrix = matrix
         self._is_exact = False
-        self._exact = None
         self.dim = matrix.shape[0]
         self._by_shift = None
-
-    @property
-    def exact(self) -> ComplexMatrix | None:
-        """The state as an exact Q[i] matrix, or None for a float state."""
-        if self._exact is None and self._is_exact:
-            from .exact import ZERO, ComplexMatrix, GaussianRational
-
-            by_shift, denominator = self._by_shift
-            rows = [[ZERO] * self.dim for _ in range(self.dim)]
-            for shift, entries in by_shift.items():
-                for r, a, b in entries:
-                    rows[r][r ^ shift] = GaussianRational(
-                        Fraction(a, denominator), Fraction(b, denominator)
-                    )
-            self._exact = ComplexMatrix(rows)
-        return self._exact
 
     @property
     def matrix(self) -> np.ndarray:
         """The state as a complex numpy array."""
         if self._matrix is None:
-            self._matrix = self.exact.to_numpy()
-        return self._matrix
+            import numpy as np
 
-    @classmethod
-    def from_exact(cls, exact: ComplexMatrix) -> "DensityOperator":
-        return cls._from_fraction_rows([[(v.re, v.im) for v in row] for row in exact.rows])
+            by_shift, denominator = self._by_shift
+            matrix = np.zeros((self.dim, self.dim), dtype=complex)
+            for shift, entries in by_shift.items():
+                for r, a, b in entries:
+                    matrix[r, r ^ shift] = complex(a / denominator, b / denominator)
+            self._matrix = matrix
+        return self._matrix
 
     @classmethod
     def from_state_vector(cls, amplitudes: Sequence[complex]) -> "DensityOperator":
@@ -104,22 +88,11 @@ class DensityOperator:
         return cls._from_numerators({c * dim + c: 1 for c in range(dim)}, {}, dim, dim)
 
     @classmethod
-    def from_projection(cls, projection: ComplexMatrix) -> "DensityOperator":
-        """Normalize an exact orthogonal projection into a state."""
-        rank = projection.trace()
-        if not rank.is_real() or rank.re <= 0:
-            raise ValueError("projection must have positive integer rank")
-        return cls.from_exact(projection.scale(Fraction(1) / rank.re))
-
-    @classmethod
     def from_eigenspace(
         cls, ops: Sequence[PauliString], outcomes: Sequence[int]
     ) -> "DensityOperator":
-        """Pi / Tr Pi for the joint projection Pi of commuting words.
-
-        The same state as ``from_projection(joint_projection(ops, outcomes))``,
-        built from the Pauli expansion with no matrix products.
-        """
+        """Pi / Tr Pi for the joint projection Pi of commuting words,
+        built from the Pauli expansion with no matrix products."""
         from .quantum import _projection_numerators
 
         re, im, dim = _projection_numerators(tuple(ops), tuple(outcomes))
@@ -129,14 +102,13 @@ class DensityOperator:
         return cls._from_numerators(re, im, dim, rank)
 
     @classmethod
-    def _from_fraction_rows(
+    def from_exact(
         cls, rows: Sequence[Sequence[tuple[Fraction, Fraction]]]
     ) -> "DensityOperator":
         """The exact state whose entry (r, c) is re + i im for rows[r][c] = (re, im).
 
         The entries are brought over their least common denominator; a
-        matrix that is empty or not square is refused as ``ComplexMatrix``
-        refuses it.
+        matrix that is empty or not square is refused.
         """
         dim = len(rows)
         if not dim:
@@ -161,8 +133,7 @@ class DensityOperator:
         """The exact state with entries (re + i im) / denominator, keyed r * dim + c.
 
         Every exact state is made here: the integers are validated exactly
-        and grouped into the sweep table, from which ``exact`` is built on
-        first read.
+        and grouped into the sweep table, the one form the state keeps.
         """
         _check_exact_state(re, im, dim, denominator)
         by_shift: dict[int, list[tuple]] = {}
@@ -171,7 +142,6 @@ class DensityOperator:
             by_shift.setdefault(r ^ c, []).append((r, re.get(key, 0), im.get(key, 0)))
         rho = cls.__new__(cls)
         rho._is_exact = True
-        rho._exact = None
         rho.dim = dim
         rho._matrix = None
         rho._by_shift = (by_shift, denominator)

@@ -1,20 +1,25 @@
-"""Exact arithmetic over the Gaussian rationals Q[i].
+"""The dense Q[i] matrix oracle that the tests check the package against.
 
-Every verdict-critical quantity in this package (edge signs, support
-membership, parity certificates, exact states) lives in Q[i].  Entries are
-kept as pairs of ``fractions.Fraction`` so that equality against zero or a
-signed identity is decidable with no tolerance.  Floating point appears
-only in the quantum-state layer, never here; ``ComplexMatrix.to_numpy`` is
-the one bridge to it and the only place this module loads numpy.
+The package decides every verdict on symplectic masks and integer
+numerators.  This module does the same linear algebra the slow way, with
+dense 2^n x 2^n matrices over the Gaussian rationals: a word's matrix, its
+spectral projections and their products, the projection refinement of a
+common eigenbasis, and an exact state's matrix.  Entries are pairs of
+``fractions.Fraction``, so equality against zero or a signed identity
+needs no tolerance; ``ComplexMatrix.to_numpy`` is the one bridge to
+floating point.  pytest does not collect this file; test modules import it
+by name.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from functools import lru_cache
 
-if TYPE_CHECKING:
-    import numpy as np
+import numpy as np
+
+from kscheck.pauli import PauliString, Phase, check_commuting, check_two_valued
+from kscheck.state import DensityOperator
 
 _EXACT_SCALARS = (int, Fraction)
 
@@ -247,10 +252,139 @@ class ComplexMatrix:
         return s
 
     def to_numpy(self) -> np.ndarray:
-        import numpy as np
-
         return np.array([[complex(v) for v in row] for row in self.rows], dtype=complex)
 
     def __repr__(self):
         body = "; ".join(", ".join(str(v) for v in row) for row in self.rows)
         return f"ComplexMatrix[{body}]"
+
+
+# -- Pauli words and their projections ----------------------------------------
+
+
+def phase_value(phase: Phase) -> GaussianRational:
+    """The phase i**power as a Gaussian rational."""
+    return GaussianRational((1, 0, -1, 0)[phase.power], (0, 1, 0, -1)[phase.power])
+
+
+@lru_cache(maxsize=None)
+def _letter_matrix(letter: str) -> ComplexMatrix:
+    i = GaussianRational(0, 1)
+    table = {
+        "I": [[1, 0], [0, 1]],
+        "X": [[0, 1], [1, 0]],
+        "Y": [[0, -i], [i, 0]],
+        "Z": [[1, 0], [0, -1]],
+    }
+    return ComplexMatrix(table[letter])
+
+
+@lru_cache(maxsize=4096)
+def to_matrix(p: PauliString) -> ComplexMatrix:
+    """Dense 2^n exact matrix of the word, phase included, qubit 0 leftmost
+    in the Kronecker product."""
+    m = _letter_matrix(p.letters[0])
+    for letter in p.letters[1:]:
+        m = m.kron(_letter_matrix(letter))
+    if p.phase.power == 0:
+        return m
+    return m.scale(phase_value(p.phase))
+
+
+@lru_cache(maxsize=4096)
+def spectral_projection(p: PauliString, eigenvalue: int) -> ComplexMatrix:
+    """Projection (I + eigenvalue * p) / 2 onto the ±1 eigenspace.
+
+    Requires a hermitian, non-identity word (so both eigenvalues occur).
+    """
+    if eigenvalue not in (1, -1):
+        raise ValueError(f"eigenvalue must be +1 or -1, got {eigenvalue!r}")
+    check_two_valued(p)
+    m = to_matrix(p)
+    if eigenvalue == -1:
+        m = -m
+    return (ComplexMatrix.identity(m.dim) + m).scale(Fraction(1, 2))
+
+
+@lru_cache(maxsize=None)
+def joint_projection(
+    ops: tuple[PauliString, ...], outcomes: tuple[int, ...]
+) -> ComplexMatrix:
+    """Exact product of the spectral projections of commuting operators."""
+    if len(ops) != len(outcomes):
+        raise ValueError("one outcome per operator required")
+    check_commuting(ops)
+    result = spectral_projection(ops[0], outcomes[0])
+    for op, outcome in zip(ops[1:], outcomes[1:]):
+        result = result @ spectral_projection(op, outcome)
+    return result
+
+
+def common_eigenbasis(ops) -> list[tuple[np.ndarray, tuple[int, ...]]]:
+    """Orthonormal simultaneous eigenvectors with their eigenvalue tuples.
+
+    Works by projection refinement: the space is split by each operator's
+    ±1 projections in turn, keeping the nonzero intersections.  The joint
+    projections (and hence the surviving tuples and multiplicities) are
+    exact; only the final orthonormal vectors are floating point.
+    """
+    ops = tuple(ops)
+    if not ops:
+        raise ValueError("need at least one operator")
+    # mutual commutation is what makes the refinement products projections
+    check_commuting(ops)
+    dim = 2 ** ops[0].n_qubits
+    branches: list[tuple[ComplexMatrix, tuple[int, ...]]] = [
+        (ComplexMatrix.identity(dim), ())
+    ]
+    for op in ops:
+        refined = []
+        for projection, outcomes in branches:
+            for eigenvalue in (1, -1):
+                candidate = projection @ spectral_projection(op, eigenvalue)
+                if not candidate.is_zero():
+                    refined.append((candidate, outcomes + (eigenvalue,)))
+        branches = refined
+
+    basis: list[tuple[np.ndarray, tuple[int, ...]]] = []
+    for projection, outcomes in branches:
+        rank_exact = projection.trace()
+        rank = int(rank_exact.re)
+        if rank_exact.im != 0 or Fraction(rank) != rank_exact.re:
+            raise ValueError("projection rank is not an integer; inputs not commuting?")
+        eigenvalues, eigenvectors = np.linalg.eigh(projection.to_numpy())
+        # eigh sorts ascending; the range of the projection is the tail
+        for column in range(dim - rank, dim):
+            basis.append((eigenvectors[:, column], outcomes))
+    return basis
+
+
+# -- states -------------------------------------------------------------------
+
+
+def exact_matrix(rho: DensityOperator) -> ComplexMatrix | None:
+    """An exact state's Q[i] matrix, read from its numerators; None for a
+    float state."""
+    if not rho._is_exact:
+        return None
+    by_shift, denominator = rho._entries_by_shift()
+    rows = [[ZERO] * rho.dim for _ in range(rho.dim)]
+    for shift, entries in by_shift.items():
+        for r, a, b in entries:
+            rows[r][r ^ shift] = GaussianRational(
+                Fraction(a, denominator), Fraction(b, denominator)
+            )
+    return ComplexMatrix(rows)
+
+
+def state_from_matrix(matrix: ComplexMatrix) -> DensityOperator:
+    """The exact state with this Q[i] matrix, through ``from_exact``."""
+    return DensityOperator.from_exact([[(v.re, v.im) for v in row] for row in matrix.rows])
+
+
+def state_from_projection(projection: ComplexMatrix) -> DensityOperator:
+    """Normalize an exact orthogonal projection into a state."""
+    rank = projection.trace()
+    if not rank.is_real() or rank.re <= 0:
+        raise ValueError("projection must have positive integer rank")
+    return state_from_matrix(projection.scale(Fraction(1) / rank.re))

@@ -24,13 +24,15 @@ from kscheck.ontology import (
     search_ncvd,
 )
 from kscheck.operational import is_nondisturbing
-from kscheck.pauli import LETTERS, PauliString, Phase, edge_product, to_matrix
-from kscheck.quantum import born_probability, joint_projection, support_table
+from kscheck.pauli import LETTERS, PauliString, Phase, edge_product
+from kscheck.quantum import born_probability, support_table
 from kscheck.realization import (
     classify_type,
     enumerate_lemma_sweep,
     run_type2_argument,
 )
+
+from dense_oracle import joint_projection, state_from_projection, to_matrix
 
 
 def report(number: int, description: str):
@@ -138,9 +140,7 @@ def test_criterion_08_type2_pipeline():
         assert not result.satisfiable, combo
         assert result.eigenstate_verified
         # the eigenstate pins each horizontal outcome within 1e-10
-        from kscheck.state import DensityOperator
-
-        rho = DensityOperator.from_projection(
+        rho = state_from_projection(
             joint_projection(ghz.edge_operators(catalog.GHZ_HORIZONTAL), combo)
         )
         for op, value in zip(ghz.edge_operators(catalog.GHZ_HORIZONTAL), combo):

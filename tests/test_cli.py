@@ -6,6 +6,7 @@ import re
 import resource
 import subprocess
 import sys
+from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
@@ -191,6 +192,32 @@ class TestSearchModel:
         assert doc["verdicts"]["satisfiable"] is True
         assert set(doc["verdicts"]["model_states"]) == {"black,big", "white,small"}
 
+    @pytest.mark.parametrize(
+        "small, states",
+        [
+            ("1/1000", ["black,big", "black,small", "white,small"]),
+            # an exact probability is in the support however small it is
+            ("1/10000000000000", ["black,big", "black,small", "white,small"]),
+            # a float one only above the 1e-12 tolerance
+            (1e-13, ["black,big", "white,small"]),
+        ],
+    )
+    def test_support_of_a_small_probability(self, capsys, tmp_path, small, states):
+        doc = builtin_doc(capsys, "box-m1")
+        del doc["models"]
+        r1 = doc["tables"]["entries"][0]
+        assert r1["preparation"] == "r1"
+        if isinstance(small, str):
+            rest = str(Fraction(1, 3) - Fraction(small))
+        else:
+            rest = 1 / 3 - small
+        r1["distribution"].update({"black,small": small, "white,small": rest})
+        path = tmp_path / "small.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "search-model", str(path), "--json")
+        assert code == 0
+        assert json.loads(out)["verdicts"]["model_states"] == states
+
     @pytest.mark.parametrize("verb", ["search-model", "robustness"])
     @pytest.mark.parametrize("realization", ["nope", "full"])
     def test_realization_on_explicit_tables_exit_six(self, capsys, verb, realization):
@@ -308,6 +335,17 @@ class TestGhz:
         doc = json.loads(out)
         assert code == 0
         assert doc["verdicts"]["satisfiable"] is True
+
+    def test_tuple_with_leading_minus_reads_either_way(self, capsys):
+        reports = []
+        for tuple_args in (["--tuple", "-1,+1,+1,+1"], ["--tuple=-1,+1,+1,+1"]):
+            code, out, err = run(
+                capsys, "ghz", "ghz", "--realization", "standard", *tuple_args, "--json"
+            )
+            assert code == 0, err
+            reports.append(without_timing(out))
+        assert reports[0] == reports[1]
+        assert json.loads(reports[0])["inputs"]["tuple"] == [-1, 1, 1, 1]
 
     def test_inadmissible_tuple_exit_six(self, capsys):
         code, _, err = run(capsys, "ghz", "ghz", "--tuple", "+1,+1,+1,+1")
@@ -495,6 +533,10 @@ class TestExitCodesAndDeterminism:
             "function_tags[0].measurement": {
                 "assoc": assoc,
                 "function_tags": [{"vertex": "a", "measurement": ["a"], "tag": "f"}],
+            },
+            "function_tags[0].tag": {
+                "assoc": assoc,
+                "function_tags": [{"vertex": "a", "measurement": "a", "tag": 1}],
             },
         }
         for n, (key, block) in enumerate(blocks.items()):
@@ -979,14 +1021,17 @@ def _mutate(doc, path, value):
         (("models", "m1", "responses", 0, "measurements", 0), ["color"],
          "$.models.m1.responses[0].measurements[0]"),
         (("models", "m1", "responses", 0, "ontic"), 1, "$.models.m1.responses[0].ontic"),
+        # a vertex label too, read by verify from the square's graph
+        (("vertices", 0, "label"), 1, "$.vertices[0].label"),
     ],
 )
 def test_mistyped_box_blocks_exit_two(capsys, tmp_path, where, value, expected_path):
-    doc = builtin_doc(capsys, "box-m1")
+    graph = where[0] == "vertices"
+    doc = builtin_doc(capsys, "peres-mermin" if graph else "box-m1")
     _mutate(doc, where, value)
     path = tmp_path / "box.json"
     path.write_text(json.dumps(doc))
-    code, out, err = run(capsys, "search-model", str(path))
+    code, out, err = run(capsys, "verify" if graph else "search-model", str(path))
     assert code == 2
     assert out == ""
     assert f"{expected_path}:" in err

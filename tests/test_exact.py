@@ -1,4 +1,4 @@
-"""Exact Q[i] scalar and matrix arithmetic."""
+"""Exact Q[i] scalar and matrix arithmetic of the dense oracle."""
 
 from fractions import Fraction
 
@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kscheck.exact import ZERO, ComplexMatrix, GaussianRational
-from kscheck.pauli import LETTERS, PauliString, Phase, to_matrix
+from kscheck.pauli import LETTERS, PauliString, Phase
+
+from dense_oracle import ZERO, ComplexMatrix, GaussianRational, phase_value, to_matrix
 
 
 class TestGaussianRational:
@@ -113,7 +114,7 @@ class TestSharedZero:
         expected = single[0]
         for m in single[1:]:
             expected = reference_kron(expected, m)
-        phase = p.phase.to_exact()
+        phase = phase_value(p.phase)
         expected = entrywise(lambda v: phase * v, expected)
         a = to_matrix(p)
         assert a == expected

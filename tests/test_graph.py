@@ -18,7 +18,9 @@ from kscheck.graph import (
     parity_certificate,
     search_assignments,
 )
-from kscheck.pauli import LETTERS, PauliString, Phase, to_matrix
+from kscheck.pauli import LETTERS, PauliString, Phase
+
+from dense_oracle import to_matrix
 
 P = PauliString.parse
 

@@ -9,6 +9,62 @@ import kscheck
 from kscheck import catalog, scenario
 
 
+# every public name, so that adding or removing one shows as a diff here
+PUBLIC_NAMES = [
+    "ArgumentType",
+    "DensityOperator",
+    "KSGraph",
+    "Measurement",
+    "ModelVerdict",
+    "OntologicalModel",
+    "OperationalTheory",
+    "ParityCertificate",
+    "PauliString",
+    "Phase",
+    "Realization",
+    "SupportTable",
+    "TheoremVerdict",
+    "admissible_tuples",
+    "born_probability",
+    "build_graph",
+    "classify_model",
+    "classify_type",
+    "collapse_edge",
+    "common_eigenbasis",
+    "commutes",
+    "derive_hyperedges",
+    "edge_product",
+    "eigenstate_preparations",
+    "enumerate_lemma_sweep",
+    "factorizes",
+    "from_quantum",
+    "hyperedge_realization",
+    "is_hyperedge_based",
+    "is_noncontextual",
+    "is_nondisturbing",
+    "is_operational_eigenstate",
+    "is_unique",
+    "is_value_definite",
+    "joint_born_probability",
+    "lemma_check",
+    "marginal",
+    "min_violation_fraction",
+    "multiply",
+    "parity_certificate",
+    "recovers",
+    "run_type2_argument",
+    "satisfies_spekkens",
+    "search_assignments",
+    "search_ncvd",
+    "support",
+    "support_table",
+]
+
+
+def test_public_names_are_pinned():
+    assert kscheck.__all__ == PUBLIC_NAMES
+
+
 @pytest.mark.parametrize("name", kscheck.__all__)
 def test_public_name_is_its_home_object(name):
     value = getattr(kscheck, name)

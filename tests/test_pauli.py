@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kscheck.exact import ComplexMatrix, GaussianRational
 from kscheck.pauli import (
     LETTERS,
     MAX_QUBITS,
@@ -21,9 +20,9 @@ from kscheck.pauli import (
     commutes,
     edge_product,
     multiply,
-    spectral_projection,
-    to_matrix,
 )
+
+from dense_oracle import ComplexMatrix, GaussianRational, spectral_projection, to_matrix
 
 P = PauliString.parse
 

@@ -10,22 +10,31 @@ from hypothesis import strategies as st
 
 from kscheck import catalog, operational, quantum
 from kscheck import graph as ks_graph
-from kscheck.exact import ComplexMatrix, GaussianRational
 from kscheck.graph import KSGraph, admissible_tuples, build_graph
 from kscheck.ontology import min_violation_fraction
 from kscheck.operational import from_quantum
-from kscheck.pauli import PauliString, to_matrix
+from kscheck.pauli import PauliString
 from kscheck.quantum import (
     born_probability,
     common_eigenbasis,
     is_operational_eigenstate,
     joint_born_probability,
     joint_distribution,
-    joint_projection,
     support_table,
 )
 from kscheck.realization import Realization, run_type2_argument
 from kscheck.state import DensityOperator
+
+import dense_oracle
+from dense_oracle import (
+    ComplexMatrix,
+    GaussianRational,
+    exact_matrix,
+    joint_projection,
+    state_from_matrix,
+    state_from_projection,
+    to_matrix,
+)
 
 P = PauliString.parse
 
@@ -58,9 +67,9 @@ class TestDensityOperator:
         assert abs(rho.matrix[0, 0] - 1.0) < 1e-12
 
     def test_projection_state(self):
-        rho = DensityOperator.from_projection(ComplexMatrix.identity(4))
-        assert rho.exact is not None
-        assert rho.exact.trace().re == 1
+        rho = state_from_projection(ComplexMatrix.identity(4))
+        assert exact_matrix(rho) is not None
+        assert exact_matrix(rho).trace().re == 1
 
 
 TINY = Fraction(1, 10**12)
@@ -107,12 +116,12 @@ class TestExactValidation:
         matrix = ComplexMatrix(rows)
         lowest = np.linalg.eigvalsh(matrix.to_numpy()).min()
         try:
-            rho = DensityOperator.from_exact(matrix)
+            rho = state_from_matrix(matrix)
         except ValueError as exc:
             assert "not positive semidefinite" in str(exc)
             accepted = False
         else:
-            assert rho.exact == matrix
+            assert exact_matrix(rho) == matrix
             accepted = True
         if shift == 0:
             assert accepted  # a Gram matrix is PSD however close to singular
@@ -122,32 +131,32 @@ class TestExactValidation:
     def test_trace_off_by_1e_minus_12_rejected(self):
         rows = [[Fraction(1, 2) + TINY, 0], [0, Fraction(1, 2)]]
         with pytest.raises(ValueError, match="unit trace"):
-            DensityOperator.from_exact(ComplexMatrix(rows))
+            state_from_matrix(ComplexMatrix(rows))
 
     def test_complex_entries(self):
         # |+i><+i| is a state; [[1/2, -i], [i, 1/2]] is hermitian with eigenvalue -1/2
         half = Fraction(1, 2)
-        rho = DensityOperator.from_exact(
+        rho = state_from_matrix(
             ComplexMatrix([[half, GaussianRational(0, -half)], [GaussianRational(0, half), half]])
         )
         assert born_probability(rho, P("Y"), 1) == 1
         with pytest.raises(ValueError, match="positive semidefinite"):
-            DensityOperator.from_exact(
+            state_from_matrix(
                 ComplexMatrix([[half, GaussianRational(0, -1)], [GaussianRational(0, 1), half]])
             )
 
     def test_matrix_is_built_on_demand(self):
-        rho = DensityOperator.from_exact(ComplexMatrix([[1, 0], [0, 0]]))
+        rho = state_from_matrix(ComplexMatrix([[1, 0], [0, 0]]))
         assert rho.dim == 2
         assert np.array_equal(rho.matrix, np.array([[1, 0], [0, 0]], dtype=complex))
         assert rho.matrix is rho.matrix
 
     def test_exact_eigenstate_check_has_no_tolerance(self):
-        rho = DensityOperator.from_exact(ComplexMatrix([[1 - TINY, 0], [0, TINY]]))
+        rho = state_from_matrix(ComplexMatrix([[1 - TINY, 0], [0, TINY]]))
         assert not is_operational_eigenstate(rho, [P("Z")])
         floating = DensityOperator(rho.matrix.copy())
         assert is_operational_eigenstate(floating, [P("Z")])
-        pure = DensityOperator.from_exact(ComplexMatrix([[1, 0], [0, 0]]))
+        pure = state_from_matrix(ComplexMatrix([[1, 0], [0, 0]]))
         assert is_operational_eigenstate(pure, [P("Z")])
 
 
@@ -160,7 +169,7 @@ class TestBornProbability:
         assert born_probability(rho, P("Z"), 1) == Fraction(1, 2)
 
     def test_plus_basis_on_z_eigenstate(self):
-        rho = DensityOperator.from_exact(ComplexMatrix([[1, 0], [0, 0]]))
+        rho = state_from_matrix(ComplexMatrix([[1, 0], [0, 0]]))
         assert born_probability(rho, P("X"), 1) == Fraction(1, 2)
 
     def test_complementary_probabilities_sum_to_one(self, z00):
@@ -171,7 +180,7 @@ class TestBornProbability:
     def test_float_state_matches_exact(self):
         exact = DensityOperator.maximally_mixed(4)
         floating = DensityOperator(exact.matrix.copy())
-        assert floating.exact is None
+        assert exact_matrix(floating) is None
         for op in ("ZI", "XX"):
             assert abs(
                 float(born_probability(exact, P(op), 1))
@@ -311,6 +320,18 @@ class TestCommonEigenbasis:
         with pytest.raises(ValueError):
             common_eigenbasis([P("X"), P("Z")])
 
+    def test_matches_projection_refinement(self, pm_graph, ghz_graph):
+        lines = [
+            graph.edge_operators(e)
+            for graph in (pm_graph, ghz_graph)
+            for e in range(len(graph.hyperedges))
+        ]
+        lines.append(tuple(P(word) for word in ("ZI", "ZI", "IZ", "IZ")))
+        for ops in lines:
+            basis, oracle = common_eigenbasis(ops), dense_oracle.common_eigenbasis(ops)
+            assert [t for _, t in basis] == [t for _, t in oracle]
+            assert all(np.array_equal(v, w) for (v, _), (w, _) in zip(basis, oracle))
+
 
 class TestOperationalEigenstate:
     def test_common_eigenstate_of_its_own_edge(self, ghz_graph, ghz_state):
@@ -356,7 +377,7 @@ def exact_states(draw, n_qubits):
     ]
     trace = sum(rows[i][i].re for i in range(dim))
     assume(trace > 0)
-    return DensityOperator.from_exact(ComplexMatrix(rows).scale(Fraction(1) / trace))
+    return state_from_matrix(ComplexMatrix(rows).scale(Fraction(1) / trace))
 
 
 class TestPauliExpansionOracle:
@@ -365,13 +386,15 @@ class TestPauliExpansionOracle:
     def test_distribution_matches_dense_products(self, data):
         ops = data.draw(commuting_words())
         rho = data.draw(exact_states(ops[0].n_qubits))
+        # the float copy built from the numerators is the oracle matrix's
+        assert np.array_equal(rho.matrix, exact_matrix(rho).to_numpy())
         floating = DensityOperator(rho.matrix.copy())
         exact_dist = joint_distribution(rho, ops)
         float_dist = joint_distribution(floating, ops)
         assert list(exact_dist) == list(product((1, -1), repeat=len(ops)))
         for combo, p in exact_dist.items():
             projection = joint_projection(ops, combo)
-            expected = rho.exact.trace_product(projection)
+            expected = exact_matrix(rho).trace_product(projection)
             assert expected.im == 0
             assert isinstance(p, Fraction) and p == expected.re
             dense = np.trace(floating.matrix @ projection.to_numpy()).real
@@ -400,33 +423,21 @@ class TestPauliExpansionOracle:
                     DensityOperator.from_eigenspace(ops, combo)
                 continue
             pinned = DensityOperator.from_eigenspace(ops, combo)
-            assert pinned.exact.scale(projection.trace()) == projection
-            oracle = DensityOperator.from_projection(projection)
-            assert pinned.exact == oracle.exact
+            assert exact_matrix(pinned).scale(projection.trace()) == projection
+            oracle = state_from_projection(projection)
+            assert exact_matrix(pinned) == exact_matrix(oracle)
             assert np.array_equal(pinned.matrix, oracle.matrix)
             assert joint_distribution(pinned, ops) == joint_distribution(
-                DensityOperator.from_exact(oracle.exact), ops
+                state_from_matrix(exact_matrix(oracle)), ops
             )
             assert is_operational_eigenstate(pinned, ops)
 
-    def test_exact_matrix_built_on_first_read(self, monkeypatch):
-        built = []
-        init = GaussianRational.__init__
-
-        def counting_init(self, re=0, im=0):
-            built.append(1)
-            init(self, re, im)
-
-        monkeypatch.setattr(GaussianRational, "__init__", counting_init)
+    def test_eight_qubit_state_is_a_normalized_projection(self):
         ops = (P("XXXXXXXX"), P("ZZZZZZZZ"), P("ZZIIIIII"))
         rho = DensityOperator.from_eigenspace(ops, (1, -1, 1))
         assert joint_distribution(rho, ops)[(1, -1, 1)] == 1
         assert is_operational_eigenstate(rho, ops)
-        assert built == []
-        exact = rho.exact
-        assert built
-        assert rho.exact is exact
-        monkeypatch.undo()
+        exact = exact_matrix(rho)
         # three independent commuting words: a normalized projection of rank
         # 2^8 / 2^3 (the dense oracle's 256 x 256 Fraction products are too
         # slow for this suite at 8 qubits; the next test compares at 5)
@@ -439,13 +450,13 @@ class TestPauliExpansionOracle:
         ops = (P("XXXXI"), P("ZZZZI"), P("ZZIII"), P("IIXXI"))
         for outcomes in ((1, 1, 1, 1), (-1, 1, -1, 1), (1, -1, -1, -1)):
             rho = DensityOperator.from_eigenspace(ops, outcomes)
-            oracle = DensityOperator.from_projection(joint_projection(ops, outcomes))
-            assert rho.exact == oracle.exact
+            oracle = state_from_projection(joint_projection(ops, outcomes))
+            assert exact_matrix(rho) == exact_matrix(oracle)
 
     def test_maximally_mixed_matches_scaled_identity(self):
         rho = DensityOperator.maximally_mixed(8)
-        assert rho.exact == ComplexMatrix.identity(8).scale(Fraction(1, 8))
-        assert np.array_equal(rho.matrix, rho.exact.to_numpy())
+        assert exact_matrix(rho) == ComplexMatrix.identity(8).scale(Fraction(1, 8))
+        assert np.array_equal(rho.matrix, exact_matrix(rho).to_numpy())
 
     def test_checks_kept(self, z00):
         with pytest.raises(ValueError):

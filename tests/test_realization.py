@@ -9,7 +9,7 @@ from kscheck import catalog
 from kscheck.errors import BadArgumentError
 from kscheck.graph import admissible_tuples, build_graph
 from kscheck.operational import OUTCOME_MINUS, OUTCOME_PLUS, from_quantum, support
-from kscheck.quantum import edge_relations, joint_projection, support_table
+from kscheck.quantum import edge_relations, support_table
 from kscheck.realization import (
     Realization,
     classify_type,
@@ -24,6 +24,8 @@ from kscheck.realization import (
     run_type2_argument,
 )
 from kscheck.state import DensityOperator
+
+from dense_oracle import joint_projection, state_from_projection
 
 
 class TestUniqueness:
@@ -237,7 +239,7 @@ def type2_full_scan(graph, realization, pinned_edge, pinned, flip_sign=False):
     states = {"mixed": DensityOperator.maximally_mixed(2 ** graph.operators[0].n_qubits)}
     if not flip_sign:
         projection = joint_projection(graph.edge_operators(pinned_edge), tuple(pinned))
-        states["pinned"] = DensityOperator.from_projection(projection)
+        states["pinned"] = state_from_projection(projection)
     theory = from_quantum(graph, states, realization)
     label_of = [next(iter(a)) for a in realization.assoc]
     vertex_of = {label: v for v, label in enumerate(label_of)}

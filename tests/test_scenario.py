@@ -11,10 +11,11 @@ import pytest
 from kscheck import catalog
 from kscheck.cli import Report, main
 from kscheck.errors import InvalidGraphError, ScenarioParseError
-from kscheck.exact import ComplexMatrix
 from kscheck.operational import Realization
 from kscheck.scenario import BUILTIN_NAMES, Scenario, builtin_scenario, load_scenario
 from kscheck.scenario_json import parse_scenario, scenario_to_dict
+
+from dense_oracle import ComplexMatrix, exact_matrix
 
 MINIMAL_GRAPH = {
     "name": "single-edge",
@@ -164,7 +165,7 @@ class TestParsing:
             }
         }
         scenario = parse_scenario(doc, digest="test")
-        assert scenario.states["mixed"].exact is not None
+        assert exact_matrix(scenario.states["mixed"]) is not None
 
     def test_repeated_density_strings_parse_alike(self):
         doc = dict(MINIMAL_GRAPH)
@@ -179,7 +180,7 @@ class TestParsing:
         assert err.value.path == "$.states.bad.density[2][3]"
         assert err.value.reason == "not a rational number: '1/0'"
         del doc["states"]["bad"]
-        exact = parse_scenario(doc, digest="test").states["mixed"].exact
+        exact = exact_matrix(parse_scenario(doc, digest="test").states["mixed"])
         assert exact == ComplexMatrix.identity(4).scale(Fraction(1, 4))
 
     @pytest.mark.parametrize(
@@ -366,8 +367,13 @@ print(json.dumps([len(spin.assoc), "kscheck.realization" in sys.modules]))
                     == realization.comeasurable
                 )
             for sname, state in original.states.items():
-                if state.exact is not None:
-                    assert reparsed.states[sname].exact == state.exact
+                exact = exact_matrix(state)
+                if exact is not None:
+                    assert exact_matrix(reparsed.states[sname]) == exact
+                    # the rows written from the numerators are the oracle matrix's
+                    assert doc["states"][sname]["density"] == [
+                        [[str(v.re), str(v.im)] for v in row] for row in exact.rows
+                    ]
         if original.theory is not None:
             assert reparsed.theory.family == original.theory.family
             assert reparsed.theory.tables == original.theory.tables
