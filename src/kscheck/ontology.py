@@ -19,15 +19,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from math import prod
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import NotTwoValuedError
 from .graph import SEARCH_CAP, depth_first
-from .operational import Family, Joint, Measurement, OperationalTheory, support
-
-RECOVERY_TOL = 1e-10
-RESPONSE_TOL = 1e-12
-STATS_TOL = 1e-10
+from .operational import KNOWN_TOL, Family, Joint, Measurement, OperationalTheory
+from .operational import differs, distribution_problem, support
 
 
 class OntologicalModel:
@@ -84,9 +82,8 @@ class OntologicalModel:
             unknown = set(dist) - set(self.ontic_states)
             if unknown:
                 raise ValueError(f"preparation {prep}: unknown ontic states {sorted(unknown)}")
-            total = sum(float(v) for v in dist.values())
-            if abs(total - 1.0) > RESPONSE_TOL:
-                raise ValueError(f"preparation {prep}: distribution sums to {total}")
+            if problem := distribution_problem(dist):
+                raise ValueError(f"preparation {prep} {problem}")
         for joint in self.family:
             valid = set(self.outcome_tuples(joint))
             for lam in self.ontic_states:
@@ -101,11 +98,8 @@ class OntologicalModel:
                         f"response for {self.joint_name(joint)}: bad outcome tuples "
                         f"{sorted(set(dist) - valid)}"
                     )
-                total = sum(map(float, dist.values()))
-                if abs(total - 1.0) > RESPONSE_TOL:
-                    raise ValueError(
-                        f"response for {self.joint_name(joint)} at {lam} sums to {total}"
-                    )
+                if problem := distribution_problem(dist):
+                    raise ValueError(f"response for {self.joint_name(joint)} at {lam} {problem}")
 
     @classmethod
     def from_deterministic_assignments(
@@ -152,11 +146,9 @@ def _structures_match(model: OntologicalModel, theory: OperationalTheory) -> str
     return None
 
 
-def recovers(
-    model: OntologicalModel, theory: OperationalTheory, tol: float = RECOVERY_TOL
-) -> tuple[bool, tuple]:
+def recovers(model: OntologicalModel, theory: OperationalTheory) -> tuple[bool, tuple]:
     """Check sum_lambda p(X|x, lambda) p(lambda|r) against every stored
-    theory table entry."""
+    theory table entry, compared by ``differs``: exactly for exact inputs."""
     mismatch = _structures_match(model, theory)
     if mismatch:
         raise ValueError(f"model does not match theory: {mismatch}")
@@ -166,14 +158,11 @@ def recovers(
             weights = model.prep_distributions[prep]
             for outcomes in theory.outcome_tuples(joint):
                 predicted = sum(
-                    (
-                        model.response_probability(joint, outcomes, lam) * weight
-                        for lam, weight in weights.items()
-                    ),
-                    Fraction(0) if all(isinstance(w, Fraction) for w in weights.values()) else 0.0,
+                    model.response_probability(joint, outcomes, lam) * weight
+                    for lam, weight in weights.items()
                 )
                 expected = dist.get(outcomes, 0)
-                if abs(float(predicted) - float(expected)) > tol:
+                if differs(predicted, expected):
                     witnesses.append(
                         (theory.component_order(joint), outcomes, prep, predicted, expected)
                     )
@@ -195,15 +184,14 @@ def _value_definiteness_witnesses(model: OntologicalModel) -> tuple:
     return tuple(out)
 
 
-def is_noncontextual(model: OntologicalModel, tol: float | None = None) -> tuple[bool, tuple]:
+def is_noncontextual(model: OntologicalModel) -> tuple[bool, tuple]:
     """Responses of a measurement must not depend on what it is co-measured
     with: for x contained in y, the x-marginal of y's response equals x's
     own response, for every ontic state.
 
-    Agreement is exact for value-definite models, within 1e-12 otherwise.
+    The two are compared by ``differs``: exactly when the responses are
+    exact, within 1e-12 when a float is involved.
     """
-    if tol is None:
-        tol = 0.0 if is_value_definite(model) else RESPONSE_TOL
     witnesses = []
     members = sorted(model.family, key=lambda j: (len(j), model.joint_name(j)))
     for sub in members:
@@ -218,25 +206,25 @@ def is_noncontextual(model: OntologicalModel, tol: float | None = None) -> tuple
                 big_response = model.response(big, lam)
                 for outcomes in model.outcome_tuples(sub):
                     marginal = sum(
-                        float(v)
+                        v
                         for combo, v in big_response.items()
                         if all(combo[p] == o for p, o in zip(positions, outcomes))
                     )
-                    direct = float(model.response_probability(sub, outcomes, lam))
-                    if abs(marginal - direct) > tol:
+                    direct = model.response_probability(sub, outcomes, lam)
+                    if differs(marginal, direct, KNOWN_TOL):
                         witnesses.append(
-                            (sub_order, big_order, outcomes, lam, direct, marginal)
+                            (sub_order, big_order, outcomes, lam, float(direct), float(marginal))
                         )
     return (not witnesses, tuple(witnesses))
 
 
-def factorizes(model: OntologicalModel, tol: float = RESPONSE_TOL) -> bool:
+def factorizes(model: OntologicalModel) -> bool:
     """True iff every joint response is the product of the members' own
-    single-measurement responses."""
-    return not _factorization_witnesses(model, tol)
+    single-measurement responses (compared by ``differs``)."""
+    return not _factorization_witnesses(model)
 
 
-def _factorization_witnesses(model: OntologicalModel, tol: float = RESPONSE_TOL) -> tuple:
+def _factorization_witnesses(model: OntologicalModel) -> tuple:
     out = []
     for joint in model.family:
         if len(joint) < 2:
@@ -244,26 +232,21 @@ def _factorization_witnesses(model: OntologicalModel, tol: float = RESPONSE_TOL)
         order = model.component_order(joint)
         for lam in model.ontic_states:
             for outcomes in model.outcome_tuples(joint):
-                prod = 1.0
-                for label, outcome in zip(order, outcomes):
-                    prod *= float(
-                        model.response_probability(frozenset({label}), (outcome,), lam)
-                    )
-                direct = float(model.response_probability(joint, outcomes, lam))
-                if abs(direct - prod) > tol:
-                    out.append((order, outcomes, lam, direct, prod))
+                factored = prod(
+                    model.response_probability(frozenset({label}), (outcome,), lam)
+                    for label, outcome in zip(order, outcomes)
+                )
+                direct = model.response_probability(joint, outcomes, lam)
+                if differs(direct, factored, KNOWN_TOL):
+                    out.append((order, outcomes, lam, float(direct), float(factored)))
     return tuple(out)
 
 
-def satisfies_spekkens(
-    model: OntologicalModel,
-    theory: OperationalTheory,
-    stats_tol: float = STATS_TOL,
-    response_tol: float = RESPONSE_TOL,
-) -> tuple[bool, tuple]:
+def satisfies_spekkens(model: OntologicalModel, theory: OperationalTheory) -> tuple[bool, tuple]:
     """When two (measurement, outcome) pairs have identical statistics in
     every preparation, their response functions must agree in every ontic
-    state."""
+    state.  Statistics and responses are compared by ``differs``: exactly
+    for exact inputs."""
     mismatch = _structures_match(model, theory)
     if mismatch:
         raise ValueError(f"model does not match theory: {mismatch}")
@@ -274,7 +257,7 @@ def satisfies_spekkens(
 
     stats = {
         (joint, outcomes): tuple(
-            float(theory.probability(joint, outcomes, prep)) for prep in theory.preparations
+            theory.probability(joint, outcomes, prep) for prep in theory.preparations
         )
         for joint, outcomes in events
     }
@@ -284,19 +267,19 @@ def satisfies_spekkens(
         for j in range(i + 1, len(events)):
             (ja, oa), (jb, ob) = events[i], events[j]
             pa, pb = stats[events[i]], stats[events[j]]
-            if any(abs(x - y) > stats_tol for x, y in zip(pa, pb)):
+            if any(differs(x, y) for x, y in zip(pa, pb)):
                 continue
             for lam in model.ontic_states:
-                ra = float(model.response_probability(ja, oa, lam))
-                rb = float(model.response_probability(jb, ob, lam))
-                if abs(ra - rb) > response_tol:
+                ra = model.response_probability(ja, oa, lam)
+                rb = model.response_probability(jb, ob, lam)
+                if differs(ra, rb, KNOWN_TOL):
                     witnesses.append(
                         (
                             (theory.component_order(ja), oa),
                             (theory.component_order(jb), ob),
                             lam,
-                            ra,
-                            rb,
+                            float(ra),
+                            float(rb),
                         )
                     )
     return (not witnesses, tuple(witnesses))

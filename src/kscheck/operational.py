@@ -24,9 +24,39 @@ if TYPE_CHECKING:
     from .graph import KSGraph
     from .state import DensityOperator
 
-NORMALIZATION_TOL = 1e-12
-TABLE_TOL = 1e-10
-SUPPORT_TOL = 1e-12
+# ``differs`` compares probabilities exactly unless a float is involved; a float
+# is held to KNOWN_TOL against a known number (a sum against 1, a probability
+# against 0) and to AGREE_TOL against another computed value.
+KNOWN_TOL = 1e-12
+AGREE_TOL = 1e-10
+
+
+def differs(a, b, tol: float = AGREE_TOL) -> bool:
+    """True iff two probabilities differ: ``a != b`` when neither is a
+    float, else by more than ``tol``, so that a NaN differs from anything."""
+    if isinstance(a, float) or isinstance(b, float):
+        return not abs(a - b) <= tol
+    return a != b
+
+
+def distribution_problem(dist: Mapping) -> str | None:
+    """Why ``dist``'s values are not a probability distribution (a sum
+    other than 1, or an entry below 0, compared by ``differs``), or None."""
+    values = dist.values()
+    total = 0
+    for p in values:
+        # replacing a zero total spares a Fraction addition per one-entry
+        # distribution, such as each response of a deterministic model
+        total = total + p if total else p
+    if differs(total, 1, KNOWN_TOL):
+        return f"sums to {total}, not 1"
+    # a lone entry is the sum, so only a longer distribution can hide one below 0
+    if len(values) > 1:
+        for p in values:
+            if p < 0 and differs(p, 0):
+                return f"has the negative entry {p}"
+    return None
+
 
 # A joint measurement is identified by the set of basic labels it composes.
 Joint = frozenset[str]
@@ -229,11 +259,8 @@ class OperationalTheory:
                         f"table for {self.joint_name(joint)}: invalid outcome tuples "
                         f"{sorted(set(dist) - valid)}"
                     )
-                total = sum(map(float, dist.values()))
-                if abs(total - 1.0) > NORMALIZATION_TOL:
-                    raise ValueError(
-                        f"table for {self.joint_name(joint)} at {prep} sums to {total}, not 1"
-                    )
+                if problem := distribution_problem(dist):
+                    raise ValueError(f"table for {self.joint_name(joint)} at {prep} {problem}")
         for joint in self.maximal_joints:
             for prep in self.preparations:
                 if joint not in self.tables or prep not in self.tables[joint]:
@@ -283,7 +310,7 @@ def marginal(
     """Probability of an outcome event of ``joint`` by marginalizing the
     maximal-joint tables that contain it.
 
-    All containments must agree within 1e-10, otherwise the theory is
+    All containments must agree by ``differs``, otherwise the theory is
     disturbing and a MarginalAmbiguityError is raised.
     """
     joint = frozenset(joint)
@@ -302,8 +329,7 @@ def marginal(
     ]
     if not values:
         raise ValueError(f"no table stored for preparation {prep!r}")
-    floats = [float(v) for _, v in values]
-    if max(floats) - min(floats) > TABLE_TOL:
+    if any(differs(a, b) for (_, a), (_, b) in combinations(values, 2)):
         detail = ", ".join(
             f"{theory.joint_name(c)}: {float(v):.6g}" for c, v in values
         )
@@ -323,15 +349,13 @@ class DisturbanceWitness(NamedTuple):
     value_b: float
 
 
-def is_nondisturbing(
-    theory: OperationalTheory, tol: float = TABLE_TOL
-) -> tuple[bool, tuple[DisturbanceWitness, ...]]:
+def is_nondisturbing(theory: OperationalTheory) -> tuple[bool, tuple[DisturbanceWitness, ...]]:
     """Check that outcome statistics do not depend on accompanying
     comeasurable measurements.
 
     For every family member x and preparation, every way of computing
     p(X|x, r) (a stored table for x, or marginalizing any stored superset
-    table) must agree within tol.
+    table) must agree, compared by ``differs``: exactly for exact tables.
     """
     witnesses: list[DisturbanceWitness] = []
     stored = list(theory.tables)
@@ -355,29 +379,27 @@ def is_nondisturbing(
                         values.append(
                             (name, _marginal_from(theory, source, sub, outcomes, prep))
                         )
-                for i in range(len(values)):
-                    for j in range(i + 1, len(values)):
-                        va, vb = float(values[i][1]), float(values[j][1])
-                        if abs(va - vb) > tol:
-                            witnesses.append(
-                                DisturbanceWitness(
-                                    sub_joint=theory.component_order(sub),
-                                    source_a=values[i][0],
-                                    source_b=values[j][0],
-                                    outcomes=outcomes,
-                                    preparation=prep,
-                                    value_a=va,
-                                    value_b=vb,
-                                )
+                for (name_a, va), (name_b, vb) in combinations(values, 2):
+                    if differs(va, vb):
+                        witnesses.append(
+                            DisturbanceWitness(
+                                sub_joint=theory.component_order(sub),
+                                source_a=name_a,
+                                source_b=name_b,
+                                outcomes=outcomes,
+                                preparation=prep,
+                                value_a=float(va),
+                                value_b=float(vb),
                             )
+                        )
     return (not witnesses, tuple(witnesses))
 
 
 def support(theory: OperationalTheory, joint: Joint) -> tuple[tuple[str, ...], ...]:
     """Outcome tuples with nonzero probability in some preparation.
 
-    An exact probability is nonzero when it is above 0; a float one, when
-    it is above 1e-12.
+    A probability is nonzero when it is above 0 and ``differs`` from 0 by
+    KNOWN_TOL: exactly for an exact one, by more than 1e-12 for a float.
     """
     joint = frozenset(joint)
     if joint not in theory.maximal_joints:
@@ -393,22 +415,22 @@ def support(theory: OperationalTheory, joint: Joint) -> tuple[tuple[str, ...], .
 
 
 def _positive(p) -> bool:
-    return p > SUPPORT_TOL if isinstance(p, float) else p > 0
+    return p > 0 and differs(p, 0, KNOWN_TOL)
 
 
 def eigenstate_preparations(theory: OperationalTheory, joint: Joint) -> tuple[str, ...]:
     """Preparations in which every outcome of the joint is certain or
-    impossible (probability 0 or 1 within 1e-10)."""
+    impossible: its probability does not ``differ`` from 0 or from 1."""
     joint = frozenset(joint)
     if joint not in theory.family:
         raise ValueError(f"{set(joint)} is not in the comeasurability family")
     out = []
     for prep in theory.preparations:
         values = [
-            float(theory.probability(joint, outcomes, prep))
+            theory.probability(joint, outcomes, prep)
             for outcomes in theory.outcome_tuples(joint)
         ]
-        if all(min(abs(v), abs(v - 1)) <= TABLE_TOL for v in values):
+        if all(not differs(v, 0) or not differs(v, 1) for v in values):
             out.append(prep)
     return tuple(out)
 

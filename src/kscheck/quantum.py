@@ -46,8 +46,6 @@ if TYPE_CHECKING:
 
     from .state import DensityOperator
 
-EIGENSTATE_TOL = 1e-10
-
 
 def _check_eigenvalue(eigenvalue):
     if eigenvalue not in (1, -1):
@@ -273,16 +271,10 @@ def common_eigenbasis(
     return basis
 
 
-def is_operational_eigenstate(
-    rho: DensityOperator,
-    ops: Sequence[PauliString],
-    tol: float = EIGENSTATE_TOL,
-) -> bool:
-    """True iff every joint outcome probability is 0 or 1.
+def is_operational_eigenstate(rho: DensityOperator, ops: Sequence[PauliString]) -> bool:
+    """True iff every joint outcome probability is 0 or 1 by
+    ``operational.differs``: exactly for an exact state, within 1e-10 else."""
+    from .operational import differs
 
-    Exactly for an exact state; within tol for a float state.
-    """
     probabilities = joint_distribution(rho, ops).values()
-    if rho._is_exact:
-        return all(p == 0 or p == 1 for p in probabilities)
-    return all(min(abs(p), abs(p - 1)) <= tol for p in probabilities)
+    return all(not differs(p, 0) or not differs(p, 1) for p in probabilities)

@@ -23,7 +23,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .errors import BadArgumentError, CapExceededError
 from .graph import SEARCH_CAP, KSGraph, _bits, _echelon, _first_solution, _maximal_cliques, check_cap
-from .operational import Realization, quantum_joints
+from .operational import Realization, differs, quantum_joints
 from .pauli import all_commute, commutation_masks
 
 SWEEP_POOL_LIMIT = 12
@@ -492,7 +492,7 @@ def run_type2_argument(
         if not is_operational_eigenstate(rho, graph.edge_operators(pinned_edge)):
             raise BadArgumentError("selected preparation is not an operational eigenstate")
         for op, value in zip(graph.edge_operators(pinned_edge), pinned):
-            if abs(float(born_probability(rho, op, value)) - 1.0) > 1e-10:
+            if differs(born_probability(rho, op, value), 1):
                 raise BadArgumentError("eigenstate fails to fix a pinned outcome")
         eigenstate_verified = True
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
+from math import isfinite
 from typing import TYPE_CHECKING, Any, Callable
 
 from .errors import InvalidGraphError, ScenarioParseError
@@ -33,12 +34,14 @@ def _expect(value: Any, kind: type, what: str, path: str):
 
 
 def _number(value: Any, path: str):
-    """A probability-like value: int, float, or exact 'p/q' string."""
+    """A probability-like value: int, finite float, or exact 'p/q' string."""
     if isinstance(value, bool):
         _fail("expected a number", path)
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, float):
+        if not isfinite(value):
+            _fail(f"not a finite number: {value!r}", path)
         return value
     if isinstance(value, str):
         try:
@@ -288,8 +291,8 @@ def _parse_model(doc: Any, theory: OperationalTheory, path: str) -> OntologicalM
     ppath = f"{path}.preparations"
     preps = {}
     for prep, dist in _expect(doc.get("preparations", {}), dict, "'preparations'", ppath).items():
-        preps[str(prep)] = {
-            str(lam): _number(v, f"{ppath}.{prep}.{lam}")
+        preps[prep] = {
+            lam: _number(v, f"{ppath}.{prep}.{lam}")
             for lam, v in _expect(dist, dict, "a preparation", f"{ppath}.{prep}").items()
         }
     responses = {}
@@ -315,7 +318,7 @@ def _parse_model(doc: Any, theory: OperationalTheory, path: str) -> OntologicalM
 def parse_scenario(doc: Any, digest: str) -> Scenario:
     if not isinstance(doc, dict):
         _fail("scenario must be a JSON object", "$")
-    name = str(doc.get("name", "scenario"))
+    name = _label(doc.get("name", "scenario"), "scenario name", "$.name")
     scenario = Scenario(name=name, digest=digest)
     if "vertices" in doc:
         scenario.graph = _parse_graph(doc, "$")
@@ -334,7 +337,7 @@ def parse_scenario(doc: Any, digest: str) -> Scenario:
             _fail("'realizations' must map names to blocks", "$.realizations")
         labels = list(scenario.graph.labels)
         scenario.realizations = LazyBlocks({
-            str(rname): _parse_realization(block, labels, f"$.realizations.{rname}")
+            rname: _parse_realization(block, labels, f"$.realizations.{rname}")
             for rname, block in doc["realizations"].items()
         })
     if "tables" in doc:
@@ -345,7 +348,7 @@ def parse_scenario(doc: Any, digest: str) -> Scenario:
         if not isinstance(doc["models"], dict):
             _fail("'models' must map names to blocks", "$.models")
         for mname, block in doc["models"].items():
-            scenario.models[str(mname)] = _parse_model(
+            scenario.models[mname] = _parse_model(
                 block, scenario.theory, f"$.models.{mname}"
             )
     return scenario

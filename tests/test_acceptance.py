@@ -175,7 +175,7 @@ def test_criterion_10_toy_model_separation(box_fixtures):
     assert not is_noncontextual(m3.model)[0] and satisfies_spekkens(m3.model, m3.theory)[0]
     assert not is_nondisturbing(m3.theory)[0]
     for fixture in (m1, m2, m3):
-        ok, witnesses = recovers(fixture.model, fixture.theory, tol=1e-10)
+        ok, witnesses = recovers(fixture.model, fixture.theory)
         assert ok, (fixture.name, witnesses[:2])
     report(10, "box models separate noncontextuality from statistics-equivalence")
 

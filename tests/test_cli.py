@@ -1023,6 +1023,19 @@ def _mutate(doc, path, value):
         (("models", "m1", "responses", 0, "ontic"), 1, "$.models.m1.responses[0].ontic"),
         # a vertex label too, read by verify from the square's graph
         (("vertices", 0, "label"), 1, "$.vertices[0].label"),
+        (("name",), 5, "$.name"),
+        # exact tables sum to exactly 1, and no probability is negative
+        (("tables", "entries", 0, "distribution", "black,small"), "1/10000000000000", "$.tables"),
+        (("tables", "entries", 0, "distribution"),
+         {"black,big": "4/3", "black,small": "0", "white,big": "0", "white,small": "-1/3"},
+         "$.tables"),
+        (("models", "m1", "responses", 0, "distribution"), {"black": "3/2", "white": "-1/2"},
+         "$.models.m1"),
+        # json reads the NaN literal, which is no probability
+        (("tables", "entries", 0, "distribution", "black,big"), float("nan"),
+         "$.tables.entries[0].distribution.black,big"),
+        (("models", "m1", "preparations", "r1", "bb"), float("nan"),
+         "$.models.m1.preparations.r1.bb"),
     ],
 )
 def test_mistyped_box_blocks_exit_two(capsys, tmp_path, where, value, expected_path):

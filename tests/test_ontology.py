@@ -412,6 +412,40 @@ class TestClassifyModel:
         v3 = classify_model(m3.model, m3.theory)
         assert not v3.noncontextual.ok and v3.spekkens.ok
 
+    def test_float_fixtures_get_the_exact_flags(self, box_fixtures):
+        # exact values are compared exactly and floats within a tolerance;
+        # on the same numbers both rules must reach the same verdicts
+        def flags(model, theory):
+            verdict = classify_model(model, theory)
+            return [c.ok for c in verdict], is_nondisturbing(theory)[0], recovers(model, theory)[0]
+
+        def floated(dist):
+            return {key: float(value) for key, value in dist.items()}
+
+        for fixture in box_fixtures:
+            theory, model = fixture.theory, fixture.model
+            basics = [
+                Measurement(m.label, tuple((o, float(v)) for o, v in m.outcomes))
+                for m in theory.basics
+            ]
+            float_theory = OperationalTheory(
+                basics,
+                theory.maximal_joints,
+                theory.preparations,
+                {
+                    joint: {prep: floated(dist) for prep, dist in per_prep.items()}
+                    for joint, per_prep in theory.tables.items()
+                },
+            )
+            float_model = OntologicalModel(
+                basics,
+                model.maximal_joints(),
+                model.ontic_states,
+                {prep: floated(dist) for prep, dist in model.prep_distributions.items()},
+                {key: floated(dist) for key, dist in model.responses.items()},
+            )
+            assert flags(float_model, float_theory) == flags(model, theory), fixture.name
+
 
 class TestSearchNCVD:
     def test_square_theory_unsat(self, pm_theory_full):

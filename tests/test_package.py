@@ -1,5 +1,6 @@
 """The package namespace: lazily resolved public names and the built-in list."""
 
+import inspect
 import sys
 from importlib import import_module
 
@@ -71,6 +72,19 @@ def test_public_name_is_its_home_object(name):
     home = value.__module__
     assert home.startswith("kscheck.")
     assert getattr(import_module(home), name) is value
+
+
+def test_no_public_tolerance_parameter():
+    # probabilities are compared by one rule, exactly when the inputs are
+    # exact; a public tolerance knob would reopen a second one
+    knobs = [
+        f"{name}({param})"
+        for name in kscheck.__all__
+        if callable(value := getattr(kscheck, name))
+        for param in inspect.signature(value).parameters
+        if "tol" in param
+    ]
+    assert knobs == []
 
 
 def test_dir_lists_every_public_name():
