@@ -19,16 +19,10 @@ import sys
 import time
 from typing import TYPE_CHECKING
 
-from .errors import (
-    BadArgumentError,
-    CapExceededError,
-    InvalidGraphError,
-    MarginalAmbiguityError,
-    MissingBlockError,
-    ScenarioParseError,
-)
+from .errors import BadArgumentError, KSCheckError, MissingBlockError
 from .graph import SEARCH_CAP
 from .scenario import Scenario, load_scenario
+from .values import Value
 
 # Each command imports its own engine, so a call loads only the modules its
 # verb uses.
@@ -62,7 +56,9 @@ def _indented_rows(rows) -> str | None:
     return f"[\n    [\n      {body}\n    ]\n  ]"
 
 
-class Report:
+class Report(Value):
+    _fields = ("command", "inputs", "verdicts", "witnesses", "certificate", "timing_s", "lines")
+
     def __init__(
         self,
         command: str,
@@ -81,28 +77,9 @@ class Report:
         self.timing_s = timing_s
         self.lines = [] if lines is None else lines
 
-    def __repr__(self):
-        return (
-            f"Report(command={self.command!r}, inputs={self.inputs!r}, "
-            f"verdicts={self.verdicts!r}, witnesses={self.witnesses!r}, "
-            f"certificate={self.certificate!r}, timing_s={self.timing_s!r}, "
-            f"lines={self.lines!r})"
-        )
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return vars(self) == vars(other)
-
     def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "inputs": self.inputs,
-            "verdicts": self.verdicts,
-            "witnesses": self.witnesses,
-            "certificate": self.certificate,
-            "timing_s": self.timing_s,
-        }
+        """The JSON document: every field but the text ``lines``, in field order."""
+        return {name: getattr(self, name) for name in self._fields if name != "lines"}
 
     def to_json(self) -> str:
         """``json.dumps(self.to_dict(), indent=2)``, with integer witness rows
@@ -498,21 +475,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(_fold_tuple(sys.argv[1:] if argv is None else argv))
     try:
         report = args.func(args)
-    except ScenarioParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except InvalidGraphError as exc:
-        print(f"invalid graph: {exc}", file=sys.stderr)
-        return EXIT_INVALID_GRAPH
-    except MissingBlockError as exc:
-        print(f"missing block: {exc}", file=sys.stderr)
-        return EXIT_MISSING_BLOCK
-    except CapExceededError as exc:
-        print(f"cap exceeded: {exc}", file=sys.stderr)
-        return EXIT_CAP
-    except (BadArgumentError, MarginalAmbiguityError) as exc:
-        print(f"bad argument: {exc}", file=sys.stderr)
-        return EXIT_BAD_ARGUMENT
+    except KSCheckError as exc:
+        print(f"{exc.prefix}: {exc}", file=sys.stderr)
+        return exc.exit_code
     try:
         if args.json:
             print(report.to_json())

@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
-The CLI maps these onto distinct exit codes, so commands can be scripted
-against without parsing messages.
+Each subclass carries its CLI exit code (one of ``cli.EXIT_*``) and the
+prefix of its stderr line, so commands can be scripted against without
+parsing messages.
 """
 
 
@@ -16,6 +17,8 @@ class ScenarioParseError(KSCheckError):
     e.g. ``$.vertices[3].operator``.
     """
 
+    exit_code, prefix = 2, "parse error"
+
     def __init__(self, message: str, path: str = "$"):
         super().__init__(f"{path}: {message}")
         self.path = path
@@ -24,21 +27,29 @@ class ScenarioParseError(KSCheckError):
 
 class InvalidGraphError(KSCheckError):
     """A hypergraph violates a structural invariant (commutation, signed
-    identity products, isolated vertices, bad indices)."""
+    identity products, isolated vertices, bad indices, declared signs)."""
+
+    exit_code, prefix = 3, "invalid graph"
 
 
 class CapExceededError(KSCheckError):
     """An exhaustive search was requested beyond its configured cap."""
+
+    exit_code, prefix = 5, "cap exceeded"
 
 
 class MissingBlockError(KSCheckError):
     """A command needs a scenario block (realization, tables, ...) that the
     file does not provide."""
 
+    exit_code, prefix = 4, "missing block"
+
 
 class BadArgumentError(KSCheckError):
     """A structurally valid input is unusable for the requested operation
     (wrong argument type, inadmissible outcome tuple, unknown name)."""
+
+    exit_code, prefix = 6, "bad argument"
 
 
 class NotTwoValuedError(BadArgumentError, ValueError):
@@ -49,3 +60,5 @@ class NotTwoValuedError(BadArgumentError, ValueError):
 class MarginalAmbiguityError(KSCheckError):
     """A sub-measurement is contained in several maximal joints whose
     marginals disagree; the theory is being queried as if non-disturbing."""
+
+    exit_code, prefix = 6, "bad argument"

@@ -23,6 +23,7 @@ from typing import Callable, Collection, Iterable, NamedTuple, Sequence
 from . import pauli
 from .errors import CapExceededError, InvalidGraphError
 from .pauli import PauliString
+from .values import Frozen
 
 # Most variables (vertices or basic measurements) an exhaustive search takes.
 SEARCH_CAP = 24
@@ -31,8 +32,10 @@ SEARCH_CAP = 24
 ValueAssignment = tuple[int, ...]
 
 
-class KSGraph:
+class KSGraph(Frozen):
     """Labelled operators plus validated hyperedges and their signs."""
+
+    _fields = ("vertices", "hyperedges", "edge_signs")
 
     def __init__(
         self,
@@ -40,33 +43,7 @@ class KSGraph:
         hyperedges: tuple[tuple[int, ...], ...],
         edge_signs: tuple[int, ...],
     ):
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "hyperedges", hyperedges)
-        object.__setattr__(self, "edge_signs", edge_signs)
-
-    def __repr__(self):
-        return (
-            f"KSGraph(vertices={self.vertices!r}, hyperedges={self.hyperedges!r}, "
-            f"edge_signs={self.edge_signs!r})"
-        )
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.vertices, self.hyperedges, self.edge_signs) == (
-            other.vertices,
-            other.hyperedges,
-            other.edge_signs,
-        )
-
-    def __hash__(self):
-        return hash((self.vertices, self.hyperedges, self.edge_signs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
+        self._set(vertices, hyperedges, edge_signs)
 
     @property
     def n_vertices(self) -> int:

@@ -17,6 +17,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import InvalidGraphError, MarginalAmbiguityError
 from .pauli import check_commuting
+from .values import Frozen, Value
 
 # ``from_quantum`` imports the Born rule where it fills tables, so explicit
 # tables load no quantum module
@@ -62,8 +63,10 @@ def distribution_problem(dist: Mapping) -> str | None:
 Joint = frozenset[str]
 
 
-class Measurement:
+class Measurement(Frozen):
     """A basic measurement with labelled, numerically valued outcomes."""
+
+    _fields = ("label", "outcomes")
 
     def __init__(self, label: str, outcomes: tuple[tuple[str, int | float | Fraction], ...]):
         if len(outcomes) < 2:
@@ -71,25 +74,7 @@ class Measurement:
         labels = [name for name, _ in outcomes]
         if len(set(labels)) != len(labels):
             raise ValueError(f"measurement {label}: outcome labels must be distinct")
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "outcomes", outcomes)
-
-    def __repr__(self):
-        return f"Measurement(label={self.label!r}, outcomes={self.outcomes!r})"
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.label, self.outcomes) == (other.label, other.outcomes)
-
-    def __hash__(self):
-        return hash((self.label, self.outcomes))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
+        self._set(label, outcomes)
 
     @property
     def outcome_labels(self) -> tuple[str, ...]:
@@ -146,7 +131,7 @@ class Family:
         return f"Family(maximal={self.maximal!r})"
 
 
-class Realization:
+class Realization(Value):
     """Association of vertices with measurement label sets.
 
     ``function_tags`` optionally names which function of a shared
@@ -155,6 +140,8 @@ class Realization:
     in ``measurement_labels`` order; a label set is comeasurable iff it lies
     inside one, and every label a vertex carries is.
     """
+
+    _fields = ("assoc", "comeasurable", "function_tags")
 
     def __init__(
         self,
@@ -173,11 +160,6 @@ class Realization:
             f"Realization(assoc={self.assoc!r}, comeasurable={frozenset(self.comeasurable)!r}, "
             f"function_tags={self.function_tags!r})"
         )
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return vars(self) == vars(other)
 
     @classmethod
     def build(

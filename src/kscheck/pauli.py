@@ -14,6 +14,8 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
+from .values import Frozen
+
 # Born tables sweep O(2^n) entries per Pauli product and a state holds up to
 # 4^n of them; all shipped scenarios need <= 3.
 MAX_QUBITS = 8
@@ -23,28 +25,13 @@ LETTERS = "IXYZ"
 _PHASE_STR = {0: "+", 1: "+i", 2: "-", 3: "-i"}
 
 
-class Phase:
+class Phase(Frozen):
     """A global phase i**power with power in {0, 1, 2, 3}."""
 
+    _fields = ("power",)
+
     def __init__(self, power: int):
-        object.__setattr__(self, "power", power % 4)
-
-    def __repr__(self):
-        return f"Phase(power={self.power!r})"
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.power == other.power
-
-    def __hash__(self):
-        return hash((self.power,))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
+        self._set(power % 4)
 
     def __mul__(self, other: "Phase") -> "Phase":
         return Phase(self.power + other.power)
@@ -98,8 +85,10 @@ SYMPLECTIC_IDENTITY = Symplectic(0, 0, 0)
 _LETTER_BITS = {"I": (0, 0, 0), "X": (1, 0, 0), "Y": (1, 1, 1), "Z": (0, 1, 0)}
 
 
-class PauliString:
+class PauliString(Frozen):
     """Phase-tracked tensor word over {I, X, Y, Z}."""
+
+    _fields = ("phase", "letters")
 
     def __init__(self, phase: Phase, letters: str):
         if not letters:
@@ -111,25 +100,7 @@ class PauliString:
         bad = set(letters) - set(LETTERS)
         if bad:
             raise ValueError(f"invalid Pauli letters: {sorted(bad)}")
-        object.__setattr__(self, "phase", phase)
-        object.__setattr__(self, "letters", letters)
-
-    def __repr__(self):
-        return f"PauliString(phase={self.phase!r}, letters={self.letters!r})"
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.phase, self.letters) == (other.phase, other.letters)
-
-    def __hash__(self):
-        return hash((self.phase, self.letters))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
+        self._set(phase, letters)
 
     @classmethod
     def parse(cls, text: str) -> "PauliString":

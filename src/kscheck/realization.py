@@ -25,6 +25,7 @@ from .errors import BadArgumentError, CapExceededError
 from .graph import SEARCH_CAP, KSGraph, _bits, _echelon, _first_solution, _maximal_cliques, check_cap
 from .operational import Realization, differs, quantum_joints
 from .pauli import all_commute, commutation_masks
+from .values import Frozen
 
 SWEEP_POOL_LIMIT = 12
 SWEEP_ASSOC_LIMIT = 2
@@ -75,8 +76,10 @@ def edge_represents_simultaneous(
     return (False, None, had_choice)
 
 
-class ArgumentType:
+class ArgumentType(Frozen):
     """Classification by how many edges fail to be comeasurable."""
+
+    _fields = ("kind", "non_comeasurable_edges", "choice_flagged_edges")
 
     def __init__(
         self,
@@ -88,34 +91,7 @@ class ArgumentType:
         expected = "I" if count == 0 else ("II" if count == 1 else "III")
         if kind != expected:
             raise ValueError(f"kind {kind} inconsistent with {count} flagged edges")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "non_comeasurable_edges", non_comeasurable_edges)
-        object.__setattr__(self, "choice_flagged_edges", choice_flagged_edges)
-
-    def __repr__(self):
-        return (
-            f"ArgumentType(kind={self.kind!r}, "
-            f"non_comeasurable_edges={self.non_comeasurable_edges!r}, "
-            f"choice_flagged_edges={self.choice_flagged_edges!r})"
-        )
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.kind, self.non_comeasurable_edges, self.choice_flagged_edges) == (
-            other.kind,
-            other.non_comeasurable_edges,
-            other.choice_flagged_edges,
-        )
-
-    def __hash__(self):
-        return hash((self.kind, self.non_comeasurable_edges, self.choice_flagged_edges))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
+        self._set(kind, non_comeasurable_edges, choice_flagged_edges)
 
 
 def classify_type(graph: KSGraph, realization: Realization) -> ArgumentType:

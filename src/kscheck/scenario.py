@@ -14,6 +14,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable
 
 from .errors import ScenarioParseError
+from .values import Value
 
 if TYPE_CHECKING:
     from .graph import KSGraph
@@ -59,7 +60,9 @@ class LazyBlocks(Mapping):
         return repr(dict(self))
 
 
-class Scenario:
+class Scenario(Value):
+    _fields = ("name", "digest", "graph", "states", "realizations", "theory", "models")
+
     def __init__(
         self,
         name: str,
@@ -77,18 +80,6 @@ class Scenario:
         self.realizations = {} if realizations is None else realizations
         self.theory = theory
         self.models = {} if models is None else models
-
-    def __repr__(self):
-        return (
-            f"Scenario(name={self.name!r}, digest={self.digest!r}, graph={self.graph!r}, "
-            f"states={self.states!r}, realizations={self.realizations!r}, "
-            f"theory={self.theory!r}, models={self.models!r})"
-        )
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return vars(self) == vars(other)
 
 
 def _fail(message: str, path: str):

@@ -85,11 +85,20 @@ def _parse_graph(doc: dict, path: str) -> KSGraph:
             if not isinstance(edge, list) or not all(type(v) is int for v in edge):
                 _fail("edge must be a list of vertex indices", f"{path}.hyperedges[{i}]")
     try:
-        return build_graph(vertices, hyperedges)
+        graph = build_graph(vertices, hyperedges)
     except InvalidGraphError:
         raise  # structural graph problems keep their own error class
     except ValueError as exc:
         _fail(str(exc), f"{path}.vertices")
+    declared = doc.get("edge_signs")
+    if declared is not None:
+        if not isinstance(declared, list) or not all(type(s) is int for s in declared):
+            _fail("'edge_signs' must be a list of integers", f"{path}.edge_signs")
+        if tuple(declared) != graph.edge_signs:
+            raise InvalidGraphError(
+                f"declared edge signs {declared} differ from the operator products' {list(graph.edge_signs)}"
+            )
+    return graph
 
 
 def _parse_states(doc: Any, path: str) -> dict[str, DensityOperator]:
@@ -315,9 +324,19 @@ def _parse_model(doc: Any, theory: OperationalTheory, path: str) -> OntologicalM
         _fail(f"invalid model: {exc}", path)
 
 
+# The top-level keys a scenario document may carry; any other is a parse error.
+_KEYS = ("name", "vertices", "hyperedges", "edge_signs", "states", "realizations", "tables", "models")
+
+
 def parse_scenario(doc: Any, digest: str) -> Scenario:
     if not isinstance(doc, dict):
         _fail("scenario must be a JSON object", "$")
+    for key in doc:
+        if key not in _KEYS:
+            _fail(f"unknown block {key!r}; a scenario has {', '.join(_KEYS)}", f"$.{key}")
+    for key in ("hyperedges", "edge_signs"):
+        if key in doc and "vertices" not in doc:
+            _fail(f"'{key}' need a graph ('vertices')", f"$.{key}")
     name = _label(doc.get("name", "scenario"), "scenario name", "$.name")
     scenario = Scenario(name=name, digest=digest)
     if "vertices" in doc:

@@ -12,8 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from kscheck import cli, ontology
-from kscheck.catalog import GHZ_EDGES, GHZ_VERTICES, PM_EDGES, PM_VERTICES
+from kscheck import cli, errors, ontology
+from kscheck.catalog import CATALOG, GHZ_EDGES, GHZ_VERTICES, PM_EDGES, PM_VERTICES
 from kscheck.cli import Report, main
 
 SINGLE_EDGE = {
@@ -1048,3 +1048,94 @@ def test_mistyped_box_blocks_exit_two(capsys, tmp_path, where, value, expected_p
     assert code == 2
     assert out == ""
     assert f"{expected_path}:" in err
+
+
+def test_error_classes_carry_the_cli_exit_codes():
+    expected = {
+        errors.ScenarioParseError: (cli.EXIT_PARSE, "parse error"),
+        errors.InvalidGraphError: (cli.EXIT_INVALID_GRAPH, "invalid graph"),
+        errors.MissingBlockError: (cli.EXIT_MISSING_BLOCK, "missing block"),
+        errors.CapExceededError: (cli.EXIT_CAP, "cap exceeded"),
+        errors.BadArgumentError: (cli.EXIT_BAD_ARGUMENT, "bad argument"),
+        errors.NotTwoValuedError: (cli.EXIT_BAD_ARGUMENT, "bad argument"),
+        errors.MarginalAmbiguityError: (cli.EXIT_BAD_ARGUMENT, "bad argument"),
+    }
+    subclasses = {
+        cls for cls in vars(errors).values()
+        if isinstance(cls, type) and issubclass(cls, errors.KSCheckError)
+    } - {errors.KSCheckError}
+    assert subclasses == set(expected)
+    assert {cls: (cls.exit_code, cls.prefix) for cls in expected} == expected
+
+
+GRAPH_BUILTINS = [name for name, entry in CATALOG.items() if entry.kind == "graph"]
+
+
+@pytest.mark.parametrize("name", GRAPH_BUILTINS)
+def test_catalog_scenario_document_loads(capsys, tmp_path, name):
+    """The scenario a graph built-in's ``catalog --json`` prints is a file
+    that gives the built-in's verdicts."""
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(builtin_doc(capsys, name)))
+    for args in (["verify"], ["classify", "--realization", "full"]):
+        code, out, err = run(capsys, *args, str(path), "--json")
+        assert code == 0, err
+        _, builtin_out, _ = run(capsys, *args, name, "--json")
+        assert json.loads(out)["verdicts"] == json.loads(builtin_out)["verdicts"]
+
+
+@pytest.mark.parametrize(
+    "builtin, key",
+    [
+        ("peres-mermin", "comment_typo_block"),
+        ("peres-mermin", "realisations"),
+        ("box-m1", "model"),
+        ("box-m1", "table"),
+    ],
+)
+def test_unknown_top_level_key_exits_two(capsys, tmp_path, builtin, key):
+    doc = builtin_doc(capsys, builtin)
+    doc[key] = {}
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify" if builtin == "peres-mermin" else "search-model", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"parse error: $.{key}: unknown block {key!r}")
+
+
+@pytest.mark.parametrize(
+    "signs, code, message",
+    [
+        # the square's third column multiplies to -identity
+        ([1] * 6, 3, "invalid graph: declared edge signs [1, 1, 1, 1, 1, 1] differ from "
+         "the operator products' [1, 1, 1, 1, 1, -1]"),
+        ([1, 1, 1, 1, -1, -1], 3, "invalid graph: declared edge signs"),
+        ([1, 1, 1, 1, 1], 3, "invalid graph: declared edge signs"),
+        ([1, 1, 1, 1, 1, -1, 1], 3, "invalid graph: declared edge signs"),
+        ([1, 1, 1, 1, 1, 0], 3, "invalid graph: declared edge signs"),
+        ([1, 1, 1, 1, 1, -1.0], 2, "parse error: $.edge_signs: 'edge_signs' must be a list of integers"),
+        ("+1", 2, "parse error: $.edge_signs:"),
+    ],
+)
+def test_declared_edge_signs_are_checked(capsys, tmp_path, signs, code, message):
+    doc = builtin_doc(capsys, "peres-mermin")
+    assert doc["edge_signs"] == [1, 1, 1, 1, 1, -1]
+    doc["edge_signs"] = signs
+    path = tmp_path / "signs.json"
+    path.write_text(json.dumps(doc))
+    got, out, err = run(capsys, "verify", str(path))
+    assert got == code
+    assert out == ""
+    assert err.startswith(message)
+
+
+@pytest.mark.parametrize("key", ["hyperedges", "edge_signs"])
+def test_graph_keys_without_vertices_exit_two(capsys, tmp_path, key):
+    doc = builtin_doc(capsys, "box-m1")
+    doc[key] = [[0, 1]] if key == "hyperedges" else [1]
+    path = tmp_path / "dangling.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "search-model", str(path))
+    assert code == 2
+    assert err.startswith(f"parse error: $.{key}:")

@@ -84,6 +84,45 @@ class TestValueClasses:
         assert getattr(value, field) == before
 
 
+# factories of the mutable values, with every field set to a non-default
+MUTABLE = [
+    pytest.param(
+        lambda: Realization.build([["a"], ["a", "b"]], [["a", "b"]], {(1, "b"): "f1"}),
+        id="Realization",
+    ),
+    pytest.param(
+        lambda: Scenario(
+            "s", "d", single_edge_graph(), {"psi": None}, {"r": None}, None, {"m": None}
+        ),
+        id="Scenario",
+    ),
+    pytest.param(
+        lambda: Report(
+            "verify", {"source": "x"}, {"satisfiable": True}, [(1, -1)], {"kind": "k"}, 0.5, ["l"]
+        ),
+        id="Report",
+    ),
+]
+
+
+@pytest.mark.parametrize("make", MUTABLE)
+class TestMutableValues:
+    def test_equal_fields_compare_equal(self, make):
+        a, b = make(), make()
+        assert a is not b
+        assert a == b and not a != b
+
+    def test_each_differing_field_compares_unequal(self, make):
+        for field in vars(make()):
+            a, b = make(), make()
+            setattr(b, field, object())
+            assert a != b and not a == b, field
+
+    def test_unhashable(self, make):
+        with pytest.raises(TypeError):
+            hash(make())
+
+
 class TestCachesKeyOnValues:
     def test_pauli_caches_hit_on_equal_words(self):
         a, b = PauliString.parse("XY"), PauliString.parse("XY")
