@@ -3,7 +3,10 @@ realizations, operational tables and ontological models.
 
 Probabilities and matrix entries may be written as numbers or as exact
 rational strings ("1/2", "-1/4"); exact values stay exact through every
-verdict.  Parse failures carry a JSON path to the offending location.
+verdict.  Every JSON object is read by ``_object``, which names the keys its
+block may carry and refuses any other, and every list by ``_items``; so a
+misspelt key is a parse error at its own path, inside a block as at the top.
+Parse failures carry a JSON path to the offending location.
 ``scenario_to_dict`` writes a scenario back in the same form.
 """
 
@@ -26,11 +29,41 @@ if TYPE_CHECKING:
     from .state import DensityOperator
 
 
-def _expect(value: Any, kind: type, what: str, path: str):
-    """The value, which must be a JSON list or object (``kind`` list or dict)."""
-    if not isinstance(value, kind):
-        _fail(f"{what} must be {'a list' if kind is list else 'an object'}", path)
+def _object(value: Any, what: str, path: str, required=(), optional=(), named=False) -> dict:
+    """The JSON object ``value``, which must carry every ``required`` key and
+    no key outside ``required`` and ``optional``.  A ``named`` object maps
+    names (labels) to values, so any key is allowed."""
+    if not isinstance(value, dict):
+        _fail(f"{what} must be an object", path)
+    if not all(key in value for key in required):
+        _fail(f"{what} needs {', '.join(map(repr, required))}", path)
+    if not named:
+        keys = required + optional
+        for key in value:
+            if key not in keys:
+                # the top-level keys are the scenario's blocks
+                kind = "block" if path == "$" else "key"
+                _fail(f"unknown {kind} {key!r}; {what} has {', '.join(keys)}", f"{path}.{key}")
     return value
+
+
+def _items(value: Any, what: str, path: str, nonempty=False):
+    """Each item of the JSON list ``value`` with its path ``path[i]``."""
+    if not isinstance(value, list) or (nonempty and not value):
+        _fail(f"{what} must be a {'nonempty ' if nonempty else ''}list", path)
+    return ((item, f"{path}[{i}]") for i, item in enumerate(value))
+
+
+def _label(value: Any, what: str, path: str) -> str:
+    """A label, which must be a JSON string."""
+    if not isinstance(value, str):
+        _fail(f"{what} must be a string", path)
+    return value
+
+
+def _labels(value: Any, what: str, path: str, nonempty=False, item="measurement label"):
+    """The labels of a JSON list; each must be a string."""
+    return [_label(label, item, lpath) for label, lpath in _items(value, what, path, nonempty)]
 
 
 def _number(value: Any, path: str):
@@ -51,6 +84,22 @@ def _number(value: Any, path: str):
     _fail(f"expected a number, got {type(value).__name__}", path)
 
 
+def _distribution(value: Any, what: str, path: str, parts: int | None = None) -> dict[str, Any]:
+    """A JSON object of probabilities, which must sum to 1 with no entry
+    below 0 (``operational.distribution_problem``); given ``parts``, each
+    key must join that many outcome labels with ','."""
+    from .operational import distribution_problem
+
+    dist = {}
+    for key, p in _object(value, what, path, named=True).items():
+        if parts is not None and key.count(",") + 1 != parts:
+            _fail(f"outcome key {key!r} has {key.count(',') + 1} parts, joint has {parts}", path)
+        dist[key] = _number(p, f"{path}.{key}")
+    if problem := distribution_problem(dist):
+        _fail(f"distribution {problem}", path)
+    return dist
+
+
 _ZERO = Fraction(0)
 
 
@@ -64,26 +113,16 @@ def _complex_entry(value: Any, path: str):
 
 
 def _parse_graph(doc: dict, path: str) -> KSGraph:
-    raw_vertices = doc.get("vertices")
-    if not isinstance(raw_vertices, list) or not raw_vertices:
-        _fail("'vertices' must be a nonempty list", f"{path}.vertices")
     vertices = []
-    for i, item in enumerate(raw_vertices):
-        vpath = f"{path}.vertices[{i}]"
-        if not isinstance(item, dict) or "label" not in item or "operator" not in item:
-            _fail("vertex needs 'label' and 'operator'", vpath)
+    for item, vpath in _items(doc["vertices"], "'vertices'", f"{path}.vertices", nonempty=True):
+        item = _object(item, "vertex", vpath, ("label", "operator"))
         label = _label(item["label"], "vertex label", f"{vpath}.label")
-        try:
-            vertices.append((label, str(item["operator"])))
-        except (TypeError, ValueError) as exc:
-            _fail(str(exc), vpath)
+        vertices.append((label, str(item["operator"])))
     hyperedges = doc.get("hyperedges")
     if hyperedges is not None:
-        if not isinstance(hyperedges, list):
-            _fail("'hyperedges' must be a list of index lists", f"{path}.hyperedges")
-        for i, edge in enumerate(hyperedges):
+        for edge, epath in _items(hyperedges, "'hyperedges'", f"{path}.hyperedges"):
             if not isinstance(edge, list) or not all(type(v) is int for v in edge):
-                _fail("edge must be a list of vertex indices", f"{path}.hyperedges[{i}]")
+                _fail("edge must be a list of vertex indices", epath)
     try:
         graph = build_graph(vertices, hyperedges)
     except InvalidGraphError:
@@ -104,62 +143,34 @@ def _parse_graph(doc: dict, path: str) -> KSGraph:
 def _parse_states(doc: Any, path: str) -> dict[str, DensityOperator]:
     from .state import DensityOperator
 
-    if not isinstance(doc, dict):
-        _fail("'states' must map labels to state definitions", path)
     states = {}
-    for label, spec in doc.items():
+    for label, spec in _object(doc, "'states'", path, named=True).items():
         spath = f"{path}.{label}"
-        if not isinstance(spec, dict):
-            _fail("state must be an object with 'vector' or 'density'", spath)
+        spec = _object(spec, "state", spath, optional=("vector", "density"))
+        if len(spec) != 1:
+            _fail("state needs one of 'vector' and 'density'", spath)
         try:
             if "vector" in spec:
-                amps = [
-                    complex(float(re), float(im))
-                    for re, im in (
-                        _complex_entry(v, f"{spath}.vector[{k}]")
-                        for k, v in enumerate(spec["vector"])
-                    )
-                ]
+                vector = _items(spec["vector"], "'vector'", f"{spath}.vector")
+                entries = (_complex_entry(v, vpath) for v, vpath in vector)
+                amps = [complex(float(re), float(im)) for re, im in entries]
                 states[label] = DensityOperator.from_state_vector(amps)
-            elif "density" in spec:
-                rows = spec["density"]
+            else:
                 parsed = [
-                    [
-                        _complex_entry(v, f"{spath}.density[{r}][{c}]")
-                        for c, v in enumerate(row)
-                    ]
-                    for r, row in enumerate(rows)
+                    [_complex_entry(v, epath) for v, epath in _items(row, "a density row", rpath)]
+                    for row, rpath in _items(spec["density"], "'density'", f"{spath}.density")
                 ]
-                exact = all(
-                    isinstance(re, Fraction) and isinstance(im, Fraction)
-                    for row in parsed
-                    for re, im in row
-                )
-                if exact:
+                if all(isinstance(x, Fraction) for row in parsed for entry in row for x in entry):
                     states[label] = DensityOperator.from_exact(parsed)
                 else:
                     states[label] = DensityOperator(
                         [[complex(float(re), float(im)) for re, im in row] for row in parsed]
                     )
-            else:
-                _fail("state needs 'vector' or 'density'", spath)
         except ScenarioParseError:
             raise
         except Exception as exc:
             _fail(f"invalid state: {exc}", spath)
     return states
-
-
-def _label(value: Any, what: str, path: str) -> str:
-    """A label, which must be a JSON string."""
-    if not isinstance(value, str):
-        _fail(f"{what} must be a string", path)
-    return value
-
-
-def _label_set(raw: list, path: str) -> set[str]:
-    """The measurement labels of a JSON list; each must be a string."""
-    return {_label(label, "measurement label", f"{path}[{j}]") for j, label in enumerate(raw)}
 
 
 def _parse_realization(doc: Any, labels: list[str], path: str) -> Callable[[], Realization]:
@@ -168,33 +179,23 @@ def _parse_realization(doc: Any, labels: list[str], path: str) -> Callable[[], R
     Every check runs here, so ``Realization.build`` cannot raise and is
     left until a verb first reads the block.
     """
-    if not isinstance(doc, dict) or "assoc" not in doc:
-        _fail("realization needs an 'assoc' block", path)
-    assoc_doc = doc["assoc"]
-    if not isinstance(assoc_doc, dict):
-        _fail("'assoc' must map vertex labels to measurement lists", f"{path}.assoc")
+    doc = _object(doc, "realization", path, ("assoc",), ("comeasurable", "function_tags"))
     index_of = {label: i for i, label in enumerate(labels)}
     assoc: list[set[str]] = [set() for _ in labels]
-    for vertex_label, measurements in assoc_doc.items():
+    assoc_doc = _object(doc["assoc"], "'assoc'", f"{path}.assoc", named=True)
+    for vertex_label, raw in assoc_doc.items():
         if vertex_label not in index_of:
             _fail(f"unknown vertex {vertex_label!r}", f"{path}.assoc")
-        if not isinstance(measurements, list) or not measurements:
-            _fail("association must be a nonempty list", f"{path}.assoc.{vertex_label}")
-        assoc[index_of[vertex_label]] = _label_set(measurements, f"{path}.assoc.{vertex_label}")
+        apath = f"{path}.assoc.{vertex_label}"
+        assoc[index_of[vertex_label]] = set(_labels(raw, "association", apath, nonempty=True))
     missing = [labels[i] for i, a in enumerate(assoc) if not a]
     if missing:
         _fail(f"vertices without measurements: {missing}", f"{path}.assoc")
-    comeasurable = doc.get("comeasurable", [])
-    if not isinstance(comeasurable, list):
-        _fail("'comeasurable' must be a list of label sets", f"{path}.comeasurable")
-    function_tags = doc.get("function_tags", [])
-    if not isinstance(function_tags, list):
-        _fail("'function_tags' must be a list of tags", f"{path}.function_tags")
+    comeasurable = _items(doc.get("comeasurable", []), "'comeasurable'", f"{path}.comeasurable")
     tags = {}
-    for i, item in enumerate(function_tags):
-        tpath = f"{path}.function_tags[{i}]"
-        if not isinstance(item, dict) or not {"vertex", "measurement", "tag"} <= set(item):
-            _fail("tag needs 'vertex', 'measurement' and 'tag'", tpath)
+    raw_tags = doc.get("function_tags", [])
+    for item, tpath in _items(raw_tags, "'function_tags'", f"{path}.function_tags"):
+        item = _object(item, "tag", tpath, ("vertex", "measurement", "tag"))
         if not isinstance(item["vertex"], str) or item["vertex"] not in index_of:
             _fail(f"unknown vertex {item['vertex']!r}", tpath)
         vertex = index_of[item["vertex"]]
@@ -204,11 +205,8 @@ def _parse_realization(doc: Any, labels: list[str], path: str) -> Callable[[], R
         tags[(vertex, measurement)] = _label(item["tag"], "function tag", f"{tpath}.tag")
     carried = set().union(*assoc)
     sets = []
-    for i, raw in enumerate(comeasurable):
-        cpath = f"{path}.comeasurable[{i}]"
-        if not isinstance(raw, list) or not raw:
-            _fail("comeasurable set must be a nonempty list of measurement labels", cpath)
-        members = _label_set(raw, cpath)
+    for raw, cpath in comeasurable:
+        members = set(_labels(raw, "comeasurable set", cpath, nonempty=True))
         unknown = sorted(members - carried)
         if unknown:
             _fail(f"no vertex carries measurements {unknown}", cpath)
@@ -225,63 +223,42 @@ def _build_realization(assoc, comeasurable, function_tags) -> Realization:
 def _parse_theory(doc: Any, path: str) -> OperationalTheory:
     from .operational import Measurement, OperationalTheory
 
-    if not isinstance(doc, dict):
-        _fail("'tables' must be an object", path)
-    raw_measurements = doc.get("measurements")
-    if not isinstance(raw_measurements, list) or not raw_measurements:
-        _fail("'measurements' must be a nonempty list", f"{path}.measurements")
+    keys = ("measurements", "comeasurable", "preparations", "entries")
+    doc = _object(doc, "'tables'", path, optional=keys)
     basics = []
-    for i, item in enumerate(raw_measurements):
-        mpath = f"{path}.measurements[{i}]"
-        if not isinstance(item, dict) or "label" not in item or "outcomes" not in item:
-            _fail("measurement needs 'label' and 'outcomes'", mpath)
-        raw = _expect(item["outcomes"], list, "'outcomes'", f"{mpath}.outcomes")
+    raw_basics = doc.get("measurements")
+    for item, mpath in _items(raw_basics, "'measurements'", f"{path}.measurements", nonempty=True):
+        item = _object(item, "measurement", mpath, ("label", "outcomes"))
         outcomes = []
-        for j, pair in enumerate(raw):
-            opath = f"{mpath}.outcomes[{j}]"
+        for pair, opath in _items(item["outcomes"], "'outcomes'", f"{mpath}.outcomes"):
             if not isinstance(pair, list) or len(pair) != 2:
                 _fail("outcome must be a [label, value] pair", opath)
             name = _label(pair[0], "outcome label", f"{opath}[0]")
+            # distribution keys join outcome labels with ','
+            if "," in name:
+                _fail(f"outcome label {name!r} contains ','", f"{opath}[0]")
             outcomes.append((name, _number(pair[1], opath)))
         label = _label(item["label"], "measurement label", f"{mpath}.label")
         try:
             basics.append(Measurement(label, tuple(outcomes)))
         except ValueError as exc:
             _fail(str(exc), mpath)
-    preparations = doc.get("preparations")
-    if not isinstance(preparations, list) or not preparations:
-        _fail("'preparations' must be a nonempty list", f"{path}.preparations")
-    preparations = [
-        _label(p, "preparation", f"{path}.preparations[{j}]") for j, p in enumerate(preparations)
-    ]
+    preparations = _labels(doc.get("preparations"), "'preparations'", f"{path}.preparations",
+                           nonempty=True, item="preparation")
     cpath = f"{path}.comeasurable"
     comeasurable = [
-        _label_set(_expect(raw, list, "a comeasurable set", f"{cpath}[{i}]"), f"{cpath}[{i}]")
-        for i, raw in enumerate(_expect(doc.get("comeasurable", []), list, "'comeasurable'", cpath))
+        set(_labels(raw, "a comeasurable set", ipath))
+        for raw, ipath in _items(doc.get("comeasurable", []), "'comeasurable'", cpath)
     ]
-    entries = doc.get("entries")
-    if not isinstance(entries, list):
-        _fail("'entries' must be a list", f"{path}.entries")
     tables: dict = {}
-    for i, item in enumerate(entries):
-        epath = f"{path}.entries[{i}]"
-        if not isinstance(item, dict) or not {"measurements", "preparation", "distribution"} <= set(item):
-            _fail("entry needs 'measurements', 'preparation', 'distribution'", epath)
-        raw = _expect(item["measurements"], list, "'measurements'", f"{epath}.measurements")
-        joint = frozenset(_label_set(raw, f"{epath}.measurements"))
+    for item, epath in _items(doc.get("entries"), "'entries'", f"{path}.entries"):
+        item = _object(item, "entry", epath, ("measurements", "preparation", "distribution"))
+        joint = frozenset(_labels(item["measurements"], "'measurements'", f"{epath}.measurements"))
         order = [m.label for m in basics if m.label in joint]
-        dist = {}
-        raw = _expect(item["distribution"], dict, "'distribution'", f"{epath}.distribution")
-        for key, value in raw.items():
-            combo = tuple(key.split(","))
-            if len(combo) != len(order):
-                _fail(
-                    f"outcome key {key!r} has {len(combo)} parts, joint has {len(order)}",
-                    f"{epath}.distribution",
-                )
-            dist[combo] = _number(value, f"{epath}.distribution.{key}")
+        dist = _distribution(item["distribution"], "'distribution'", f"{epath}.distribution",
+                             len(order))
         prep = _label(item["preparation"], "preparation", f"{epath}.preparation")
-        tables.setdefault(joint, {})[prep] = dist
+        tables.setdefault(joint, {})[prep] = {tuple(key.split(",")): p for key, p in dist.items()}
     try:
         return OperationalTheory(basics, comeasurable, preparations, tables)
     except Exception as exc:
@@ -291,49 +268,32 @@ def _parse_theory(doc: Any, path: str) -> OperationalTheory:
 def _parse_model(doc: Any, theory: OperationalTheory, path: str) -> OntologicalModel:
     from .ontology import OntologicalModel
 
-    if not isinstance(doc, dict):
-        _fail("model must be an object", path)
-    ontic = doc.get("ontic_states")
-    if not isinstance(ontic, list) or not ontic:
-        _fail("'ontic_states' must be a nonempty list", f"{path}.ontic_states")
-    ontic = [_label(s, "ontic state", f"{path}.ontic_states[{j}]") for j, s in enumerate(ontic)]
+    doc = _object(doc, "model", path, optional=("ontic_states", "preparations", "responses"))
+    ontic = _labels(doc.get("ontic_states"), "'ontic_states'", f"{path}.ontic_states",
+                    nonempty=True, item="ontic state")
     ppath = f"{path}.preparations"
-    preps = {}
-    for prep, dist in _expect(doc.get("preparations", {}), dict, "'preparations'", ppath).items():
-        preps[prep] = {
-            lam: _number(v, f"{ppath}.{prep}.{lam}")
-            for lam, v in _expect(dist, dict, "a preparation", f"{ppath}.{prep}").items()
-        }
+    raw_preps = _object(doc.get("preparations", {}), "'preparations'", ppath, named=True)
+    preps = {
+        prep: _distribution(dist, "a preparation", f"{ppath}.{prep}")
+        for prep, dist in raw_preps.items()
+    }
     responses = {}
-    raw_responses = _expect(doc.get("responses", []), list, "'responses'", f"{path}.responses")
-    for i, item in enumerate(raw_responses):
-        rpath = f"{path}.responses[{i}]"
-        if not isinstance(item, dict) or not {"measurements", "ontic", "distribution"} <= set(item):
-            _fail("response needs 'measurements', 'ontic', 'distribution'", rpath)
-        raw = _expect(item["measurements"], list, "'measurements'", f"{rpath}.measurements")
-        joint = frozenset(_label_set(raw, f"{rpath}.measurements"))
-        raw = _expect(item["distribution"], dict, "'distribution'", f"{rpath}.distribution")
-        dist = {
-            tuple(key.split(",")): _number(v, f"{rpath}.distribution.{key}")
-            for key, v in raw.items()
-        }
-        responses[(joint, _label(item["ontic"], "ontic state", f"{rpath}.ontic"))] = dist
+    for item, rpath in _items(doc.get("responses", []), "'responses'", f"{path}.responses"):
+        item = _object(item, "response", rpath, ("measurements", "ontic", "distribution"))
+        joint = frozenset(_labels(item["measurements"], "'measurements'", f"{rpath}.measurements"))
+        dist = _distribution(item["distribution"], "'distribution'", f"{rpath}.distribution")
+        lam = _label(item["ontic"], "ontic state", f"{rpath}.ontic")
+        responses[(joint, lam)] = {tuple(key.split(",")): p for key, p in dist.items()}
     try:
         return OntologicalModel(theory.basics, theory.maximal_joints, ontic, preps, responses)
     except Exception as exc:
         _fail(f"invalid model: {exc}", path)
 
 
-# The top-level keys a scenario document may carry; any other is a parse error.
-_KEYS = ("name", "vertices", "hyperedges", "edge_signs", "states", "realizations", "tables", "models")
-
-
 def parse_scenario(doc: Any, digest: str) -> Scenario:
-    if not isinstance(doc, dict):
-        _fail("scenario must be a JSON object", "$")
-    for key in doc:
-        if key not in _KEYS:
-            _fail(f"unknown block {key!r}; a scenario has {', '.join(_KEYS)}", f"$.{key}")
+    blocks = ("name", "vertices", "hyperedges", "edge_signs", "states", "realizations", "tables",
+              "models")
+    doc = _object(doc, "a scenario", "$", optional=blocks)
     for key in ("hyperedges", "edge_signs"):
         if key in doc and "vertices" not in doc:
             _fail(f"'{key}' need a graph ('vertices')", f"$.{key}")
@@ -352,24 +312,19 @@ def parse_scenario(doc: Any, digest: str) -> Scenario:
     if "realizations" in doc:
         if scenario.graph is None:
             _fail("'realizations' need a graph ('vertices')", "$.realizations")
-        if not isinstance(doc["realizations"], dict):
-            _fail("'realizations' must map names to blocks", "$.realizations")
         labels = list(scenario.graph.labels)
+        realizations = _object(doc["realizations"], "'realizations'", "$.realizations", named=True)
         scenario.realizations = LazyBlocks({
             rname: _parse_realization(block, labels, f"$.realizations.{rname}")
-            for rname, block in doc["realizations"].items()
+            for rname, block in realizations.items()
         })
     if "tables" in doc:
         scenario.theory = _parse_theory(doc["tables"], "$.tables")
     if "models" in doc:
         if scenario.theory is None:
             _fail("'models' need operational 'tables'", "$.models")
-        if not isinstance(doc["models"], dict):
-            _fail("'models' must map names to blocks", "$.models")
-        for mname, block in doc["models"].items():
-            scenario.models[mname] = _parse_model(
-                block, scenario.theory, f"$.models.{mname}"
-            )
+        for mname, block in _object(doc["models"], "'models'", "$.models", named=True).items():
+            scenario.models[mname] = _parse_model(block, scenario.theory, f"$.models.{mname}")
     return scenario
 
 

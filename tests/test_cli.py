@@ -15,6 +15,7 @@ import pytest
 from kscheck import cli, errors, ontology
 from kscheck.catalog import CATALOG, GHZ_EDGES, GHZ_VERTICES, PM_EDGES, PM_VERTICES
 from kscheck.cli import Report, main
+from kscheck.scenario_json import parse_scenario, scenario_to_dict
 
 SINGLE_EDGE = {
     "name": "single-edge",
@@ -1025,12 +1026,13 @@ def _mutate(doc, path, value):
         (("vertices", 0, "label"), 1, "$.vertices[0].label"),
         (("name",), 5, "$.name"),
         # exact tables sum to exactly 1, and no probability is negative
-        (("tables", "entries", 0, "distribution", "black,small"), "1/10000000000000", "$.tables"),
+        (("tables", "entries", 0, "distribution", "black,small"), "1/10000000000000",
+         "$.tables.entries[0].distribution"),
         (("tables", "entries", 0, "distribution"),
          {"black,big": "4/3", "black,small": "0", "white,big": "0", "white,small": "-1/3"},
-         "$.tables"),
+         "$.tables.entries[0].distribution"),
         (("models", "m1", "responses", 0, "distribution"), {"black": "3/2", "white": "-1/2"},
-         "$.models.m1"),
+         "$.models.m1.responses[0].distribution"),
         # json reads the NaN literal, which is no probability
         (("tables", "entries", 0, "distribution", "black,big"), float("nan"),
          "$.tables.entries[0].distribution.black,big"),
@@ -1102,6 +1104,100 @@ def test_unknown_top_level_key_exits_two(capsys, tmp_path, builtin, key):
     assert code == 2
     assert out == ""
     assert err.startswith(f"parse error: $.{key}: unknown block {key!r}")
+
+
+# Keys of a scenario document whose objects map names, not a block's keys.
+NAMED_MAPS = ("states", "realizations", "models", "assoc", "preparations", "distribution")
+
+
+def _block_objects(value, where=(), path="$"):
+    """The (where, JSON path) of each object in a scenario document whose
+    keys are a block's keys; maps keyed by names are passed over, though
+    the blocks they hold are not."""
+    if isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _block_objects(item, (*where, i), f"{path}[{i}]")
+    elif isinstance(value, dict):
+        yield where, path
+        for key, item in value.items():
+            if key not in NAMED_MAPS:
+                yield from _block_objects(item, (*where, key), f"{path}.{key}")
+            elif key in ("states", "realizations", "models"):
+                for name, block in item.items():
+                    yield from _block_objects(block, (*where, key, name), f"{path}.{key}.{name}")
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_unknown_key_in_any_block_exits_two(capsys, tmp_path, name):
+    doc = builtin_doc(capsys, name)
+    assert scenario_to_dict(parse_scenario(json.loads(json.dumps(doc)), digest="")) == doc
+    verb = "verify" if CATALOG[name].kind == "graph" else "search-model"
+    objects = list(_block_objects(doc))
+    assert len(objects) > 3
+    for where, expected in objects:
+        mutated = json.loads(json.dumps(doc))
+        _mutate(mutated, (*where, "zz_unknown"), 0)
+        path = tmp_path / "unknown.json"
+        path.write_text(json.dumps(mutated))
+        code, out, err = run(capsys, verb, str(path))
+        assert (code, out) == (2, ""), expected
+        assert err.startswith(f"parse error: {expected}.zz_unknown: unknown "), err
+
+
+def test_misspelt_comeasurable_exits_two(capsys, tmp_path):
+    """A misspelt key no longer drops the comeasurable sets, which turned
+    the square's type I verdict into type III."""
+    doc = builtin_doc(capsys, "peres-mermin")
+    full = doc["realizations"]["full"]
+    full["comeasurables"] = full.pop("comeasurable")
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "classify", str(path), "--realization", "full")
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error: $.realizations.full.comeasurables: unknown key")
+
+
+def test_preparation_that_is_no_distribution_exits_two_at_it(capsys, tmp_path):
+    doc = builtin_doc(capsys, "box-m1")
+    prep = doc["models"]["m1"]["preparations"]["r1"]
+    prep[next(iter(prep))] = "3/2"
+    path = tmp_path / "prep.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "search-model", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error: $.models.m1.preparations.r1: distribution sums to ")
+
+
+@pytest.mark.parametrize(
+    "label, state, expected_path",
+    [
+        # the built-in's density state, with a vector beside it
+        ("z00", {"vector": [0, 0, 0, 1]}, "$.states.z00"),
+        # strings are no lists of amplitudes, though they iterate like them
+        ("psi", {"vector": "0001"}, "$.states.psi.vector"),
+        ("psi", {"density": ["0001", "0000", "0000", "0000"]}, "$.states.psi.density[0]"),
+    ],
+)
+def test_malformed_state_exits_two(capsys, tmp_path, label, state, expected_path):
+    doc = builtin_doc(capsys, "peres-mermin")
+    doc["states"].setdefault(label, {}).update(state)
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "robustness", str(path), "--realization", "full")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"parse error: {expected_path}: ")
+
+
+def test_outcome_label_with_comma_exits_two(capsys, tmp_path):
+    """Distribution keys join outcome labels with ',', so an outcome label
+    holding one could never be given a probability."""
+    doc = builtin_doc(capsys, "box-m1")
+    doc["tables"]["measurements"][0]["outcomes"][0][0] = "dark,grey"
+    path = tmp_path / "comma.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "search-model", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error: $.tables.measurements[0].outcomes[0][0]: ")
 
 
 @pytest.mark.parametrize(
