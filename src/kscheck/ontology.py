@@ -1,7 +1,10 @@
 """Ontological (hidden variable) models and their existence search.
 
 A model is a finite set of ontic states, a distribution over them per
-preparation, and response functions per (measurement, ontic state).  By
+preparation, and response functions per (measurement, ontic state).  The
+responses are an operational theory whose preparations are the ontic states
+(``OntologicalModel.by_state``), so they are checked as any theory's tables
+are, and noncontextuality is that theory's non-disturbance.  By
 representation the two screening-off conditions hold automatically:
 preparation distributions carry no measurement argument (no-conspiracy)
 and responses carry no preparation argument (lambda-sufficiency).
@@ -18,18 +21,21 @@ latter stops there; ``search_ncvd`` cuts a branch at its first violation.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
 from math import prod
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import NotTwoValuedError
 from .graph import SEARCH_CAP, depth_first
 from .operational import KNOWN_TOL, Family, Joint, Measurement, OperationalTheory
-from .operational import differs, distribution_problem, support
+from .operational import differs, distribution_problem, is_nondisturbing, support
 
 
 class OntologicalModel:
-    """Finite ontic state set with preparation distributions and responses."""
+    """Finite ontic state set with preparation distributions and responses.
+
+    The responses are stored once, as the theory ``by_state``; the model
+    checks only what a theory does not: a response for every family member,
+    not only the maximal ones, in every ontic state, and the weights."""
 
     def __init__(
         self,
@@ -39,67 +45,55 @@ class OntologicalModel:
         prep_distributions: Mapping[str, Mapping[str, object]],
         responses: Mapping[tuple[frozenset, str], Mapping[tuple[str, ...], object]],
     ):
-        self.basics = tuple(basics)
-        self._by_label = {m.label: m for m in self.basics}
-        self.family = Family(comeasurable, self._by_label)
-        self.ontic_states = tuple(ontic_states)
-        if len(set(self.ontic_states)) != len(self.ontic_states):
-            raise ValueError("ontic state labels must be distinct")
+        tables: dict[Joint, dict[str, Mapping]] = {}
+        for (joint, lam), dist in responses.items():
+            tables.setdefault(frozenset(joint), {})[lam] = dist
+        try:
+            self.by_state = OperationalTheory(basics, comeasurable, ontic_states, tables)
+        except ValueError as exc:
+            raise ValueError(f"responses as tables over the ontic states: {exc}") from None
+        self.basics = self.by_state.basics
+        self.family = self.by_state.family
+        self.ontic_states = self.by_state.preparations
         self.prep_distributions = {
             prep: dict(dist) for prep, dist in prep_distributions.items()
         }
-        self.responses = {
-            (frozenset(joint), lam): dict(dist)
-            for (joint, lam), dist in responses.items()
-        }
-        self._validate()
-
-    @property
-    def preparations(self) -> tuple[str, ...]:
-        return tuple(self.prep_distributions)
-
-    def component_order(self, joint: Joint) -> tuple[str, ...]:
-        return tuple(m.label for m in self.basics if m.label in joint)
-
-    def joint_name(self, joint: Joint) -> str:
-        return "&".join(self.component_order(joint))
-
-    def outcome_tuples(self, joint: Joint) -> tuple[tuple[str, ...], ...]:
-        parts = [self._by_label[label].outcome_labels for label in self.component_order(joint)]
-        return tuple(product(*parts))
-
-    def maximal_joints(self) -> tuple[Joint, ...]:
-        return self.family.maximal
-
-    def response(self, joint: Joint, lam: str) -> dict[tuple[str, ...], object]:
-        return self.responses[(frozenset(joint), lam)]
-
-    def response_probability(self, joint: Joint, outcomes: tuple[str, ...], lam: str):
-        return self.response(joint, lam).get(tuple(outcomes), 0)
-
-    def _validate(self):
         for prep, dist in self.prep_distributions.items():
-            unknown = set(dist) - set(self.ontic_states)
+            unknown = set(dist).difference(self.ontic_states)
             if unknown:
                 raise ValueError(f"preparation {prep}: unknown ontic states {sorted(unknown)}")
             if problem := distribution_problem(dist):
                 raise ValueError(f"preparation {prep} {problem}")
         for joint in self.family:
-            valid = set(self.outcome_tuples(joint))
-            for lam in self.ontic_states:
-                key = (joint, lam)
-                if key not in self.responses:
-                    raise ValueError(
-                        f"missing response for {self.joint_name(joint)} at ontic state {lam}"
-                    )
-                dist = self.responses[key]
-                if not valid.issuperset(dist):
-                    raise ValueError(
-                        f"response for {self.joint_name(joint)}: bad outcome tuples "
-                        f"{sorted(set(dist) - valid)}"
-                    )
-                if problem := distribution_problem(dist):
-                    raise ValueError(f"response for {self.joint_name(joint)} at {lam} {problem}")
+            # by_state holds only known ontic states, so a short table misses one
+            have = self.by_state.tables.get(joint, {})
+            if len(have) < len(self.ontic_states):
+                lam = next(lam for lam in self.ontic_states if lam not in have)
+                raise ValueError(
+                    f"missing response for {self.by_state.joint_name(joint)} at ontic state {lam}"
+                )
+
+    @property
+    def preparations(self) -> tuple[str, ...]:
+        return tuple(self.prep_distributions)
+
+    @property
+    def responses(self) -> dict[tuple[Joint, str], dict[tuple[str, ...], object]]:
+        """Every response keyed ``(joint, ontic state)``, read from ``by_state``."""
+        return {
+            (joint, lam): dist
+            for joint, per_state in self.by_state.tables.items()
+            for lam, dist in per_state.items()
+        }
+
+    def maximal_joints(self) -> tuple[Joint, ...]:
+        return self.family.maximal
+
+    def response(self, joint: Joint, lam: str) -> dict[tuple[str, ...], object]:
+        return self.by_state.tables[frozenset(joint)][lam]
+
+    def response_probability(self, joint: Joint, outcomes: tuple[str, ...], lam: str):
+        return self.response(joint, lam).get(tuple(outcomes), 0)
 
     @classmethod
     def from_deterministic_assignments(
@@ -114,8 +108,7 @@ class OntologicalModel:
         preparations are uniform over the states."""
         labels = [m.label for m in basics]
         family = Family(comeasurable, labels)
-        order = {label: i for i, label in enumerate(labels)}
-        members_of = [(joint, sorted(joint, key=order.get)) for joint in family]
+        members_of = [(joint, [label for label in labels if label in joint]) for joint in family]
         ontic = [_state_name(a[label] for label in labels) for a in assignments]
         one = Fraction(1)
         responses = {}
@@ -180,42 +173,18 @@ def _value_definiteness_witnesses(model: OntologicalModel) -> tuple:
         for lam in model.ontic_states:
             for outcomes, value in model.response(joint, lam).items():
                 if not (value == 0 or value == 1):
-                    out.append((model.joint_name(joint), lam, outcomes, value))
+                    out.append((model.by_state.joint_name(joint), lam, outcomes, value))
     return tuple(out)
 
 
 def is_noncontextual(model: OntologicalModel) -> tuple[bool, tuple]:
     """Responses of a measurement must not depend on what it is co-measured
-    with: for x contained in y, the x-marginal of y's response equals x's
-    own response, for every ontic state.
-
-    The two are compared by ``differs``: exactly when the responses are
-    exact, within 1e-12 when a float is involved.
-    """
-    witnesses = []
-    members = sorted(model.family, key=lambda j: (len(j), model.joint_name(j)))
-    for sub in members:
-        supersets = [y for y in members if sub < y]
-        if not supersets:
-            continue
-        sub_order = model.component_order(sub)
-        for big in supersets:
-            big_order = model.component_order(big)
-            positions = [big_order.index(label) for label in sub_order]
-            for lam in model.ontic_states:
-                big_response = model.response(big, lam)
-                for outcomes in model.outcome_tuples(sub):
-                    marginal = sum(
-                        v
-                        for combo, v in big_response.items()
-                        if all(combo[p] == o for p, o in zip(positions, outcomes))
-                    )
-                    direct = model.response_probability(sub, outcomes, lam)
-                    if differs(marginal, direct, KNOWN_TOL):
-                        witnesses.append(
-                            (sub_order, big_order, outcomes, lam, float(direct), float(marginal))
-                        )
-    return (not witnesses, tuple(witnesses))
+    with: in every ontic state, the response to x equals the x-marginal of
+    the response to every family member containing it.  That is
+    ``is_nondisturbing`` on ``model.by_state``, with its comparison rule, so
+    each witness is a ``DisturbanceWitness`` whose ``preparation`` is an
+    ontic state."""
+    return is_nondisturbing(model.by_state)
 
 
 def factorizes(model: OntologicalModel) -> bool:
@@ -226,12 +195,13 @@ def factorizes(model: OntologicalModel) -> bool:
 
 def _factorization_witnesses(model: OntologicalModel) -> tuple:
     out = []
+    theory = model.by_state
     for joint in model.family:
         if len(joint) < 2:
             continue
-        order = model.component_order(joint)
+        order = theory.component_order(joint)
         for lam in model.ontic_states:
-            for outcomes in model.outcome_tuples(joint):
+            for outcomes in theory.outcome_tuples(joint):
                 factored = prod(
                     model.response_probability(frozenset({label}), (outcome,), lam)
                     for label, outcome in zip(order, outcomes)

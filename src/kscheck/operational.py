@@ -6,7 +6,9 @@ physical data, never inferred from commutation), preparations, and
 conditional probability tables.  Tables are mandatory at maximal joints;
 sub-joint probabilities are marginalization views.  Disturbing theories
 may additionally store their own sub-joint tables, which is exactly what
-``is_nondisturbing`` compares against.
+``is_nondisturbing`` compares against.  An ontological model's responses
+are such a theory with the ontic states as preparations, so the same table
+checks and the same non-disturbance check serve them.
 """
 
 from __future__ import annotations
@@ -194,6 +196,8 @@ class OperationalTheory:
             raise ValueError("basic measurement labels must be distinct")
         self._order = {m.label: i for i, m in enumerate(self.basics)}
         self.preparations = tuple(preparations)
+        if len(set(self.preparations)) != len(self.preparations):
+            raise ValueError("preparation labels must be distinct")
 
         self.family = Family(comeasurable, self._by_label)
         self.maximal_joints = self.family.maximal
@@ -205,7 +209,8 @@ class OperationalTheory:
         for joint, per_prep in tables.items():
             joint = frozenset(joint)
             if joint not in self.family:
-                raise ValueError(f"table for {self.joint_name(joint)} outside the family")
+                # joint_name would drop a label that is no basic measurement
+                raise ValueError(f"table for {'&'.join(sorted(joint))} outside the family")
             self.tables[joint] = {
                 prep: dict(dist) for prep, dist in per_prep.items()
             }
@@ -231,10 +236,11 @@ class OperationalTheory:
         return tuple(product(*parts))
 
     def _validate_tables(self):
+        preparations = set(self.preparations)
         for joint, per_prep in self.tables.items():
             valid = set(self.outcome_tuples(joint))
             for prep, dist in per_prep.items():
-                if prep not in self.preparations:
+                if prep not in preparations:
                     raise ValueError(f"table names unknown preparation {prep!r}")
                 if not valid.issuperset(dist):
                     raise ValueError(
@@ -264,23 +270,20 @@ class OperationalTheory:
         return marginal(self, joint, tuple(outcomes), prep)
 
 
-def _marginal_from(
-    theory: OperationalTheory,
-    source: Joint,
-    target: Joint,
-    outcomes: tuple[str, ...],
-    prep: str,
-):
-    """Sum a stored source table over components outside the target."""
+def _positions(theory: OperationalTheory, source: Joint, target: Joint) -> list[int]:
+    """Where each of the target's components sits in the source's outcome tuples."""
     source_order = theory.component_order(source)
-    target_order = theory.component_order(target)
-    positions = {label: i for i, label in enumerate(source_order)}
-    wanted = {label: outcome for label, outcome in zip(target_order, outcomes)}
-    total = 0
-    for combo, value in theory.tables[source][prep].items():
-        if all(combo[positions[label]] == wanted[label] for label in target_order):
-            total = total + value
-    return total
+    return [source_order.index(label) for label in theory.component_order(target)]
+
+
+def _marginal_from(table: Mapping, positions: Sequence[int]) -> dict:
+    """A stored table summed over the components outside ``positions``; an
+    outcome tuple the result lacks has weight 0."""
+    totals: dict[tuple[str, ...], object] = {}
+    for combo, value in table.items():
+        outcomes = tuple(combo[p] for p in positions)
+        totals[outcomes] = totals.get(outcomes, 0) + value
+    return totals
 
 
 def marginal(
@@ -305,9 +308,9 @@ def marginal(
     if not containers:
         raise ValueError(f"no maximal joint contains {set(joint)}")
     values = [
-        (container, _marginal_from(theory, container, joint, outcomes, prep))
-        for container in containers
-        if prep in theory.tables[container]
+        (c, _marginal_from(theory.tables[c][prep], _positions(theory, c, joint)).get(outcomes, 0))
+        for c in containers
+        if prep in theory.tables[c]
     ]
     if not values:
         raise ValueError(f"no table stored for preparation {prep!r}")
@@ -342,30 +345,32 @@ def is_nondisturbing(theory: OperationalTheory) -> tuple[bool, tuple[Disturbance
     witnesses: list[DisturbanceWitness] = []
     stored = list(theory.tables)
     for sub in sorted(theory.family, key=theory._joint_key):
-        sources = [s for s in stored if sub < s]
+        sub_order = theory.component_order(sub)
+        sources = [
+            (theory.component_order(s), theory.tables[s], _positions(theory, s, sub))
+            for s in stored
+            if sub < s
+        ]
+        own = theory.tables.get(sub, {})
         for prep in theory.preparations:
-            candidates: list[tuple[tuple[str, ...], object]] = []
-            if sub in theory.tables and prep in theory.tables[sub]:
-                candidates.append((theory.component_order(sub), None))
-            for source in sources:
-                if prep in theory.tables[source]:
-                    candidates.append((theory.component_order(source), source))
+            candidates = [(sub_order, own[prep])] if prep in own else []
+            candidates += [
+                (name, _marginal_from(per_prep[prep], positions))
+                for name, per_prep, positions in sources
+                if prep in per_prep
+            ]
             if len(candidates) < 2:
                 continue
             for outcomes in theory.outcome_tuples(sub):
-                values = []
-                for name, source in candidates:
-                    if source is None:
-                        values.append((name, theory.stored_value(sub, outcomes, prep)))
-                    else:
-                        values.append(
-                            (name, _marginal_from(theory, source, sub, outcomes, prep))
-                        )
+                values = [(name, dist.get(outcomes, 0)) for name, dist in candidates]
+                # equal values differ pairwise nowhere, whatever their types
+                if all(v == values[0][1] for _, v in values):
+                    continue
                 for (name_a, va), (name_b, vb) in combinations(values, 2):
                     if differs(va, vb):
                         witnesses.append(
                             DisturbanceWitness(
-                                sub_joint=theory.component_order(sub),
+                                sub_joint=sub_order,
                                 source_a=name_a,
                                 source_b=name_b,
                                 outcomes=outcomes,

@@ -86,6 +86,24 @@ def _fail(message: str, path: str):
     raise ScenarioParseError(message, path)
 
 
+class RepeatedKey(dict):
+    """A JSON object that names ``key`` more than once; ``scenario_json``
+    refuses it where it reads the object, at that key's path."""
+
+    __slots__ = ("key",)
+
+
+def _object_pairs(pairs: list[tuple[str, Any]]) -> dict:
+    """``json.loads``' hook for each object: a dict, or a ``RepeatedKey``
+    when a key repeats, since a dict would keep only its last value."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        obj = RepeatedKey(obj)
+        obj.key = next(key for i, key in enumerate(keys) if key in keys[:i])
+    return obj
+
+
 def load_scenario(source: str) -> Scenario:
     """Load a builtin by name or a scenario JSON file by path."""
     if source in BUILTIN_NAMES:
@@ -98,7 +116,7 @@ def load_scenario(source: str) -> Scenario:
     except OSError as exc:
         _fail(f"cannot read {source!r}: {exc.strerror or exc}", "$")
     try:
-        doc = json.loads(raw)
+        doc = json.loads(raw, object_pairs_hook=_object_pairs)
     except ValueError as exc:
         # JSONDecodeError and UnicodeDecodeError (bytes that are not UTF-8)
         _fail(f"invalid JSON: {exc}", "$")

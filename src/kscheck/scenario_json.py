@@ -4,10 +4,11 @@ realizations, operational tables and ontological models.
 Probabilities and matrix entries may be written as numbers or as exact
 rational strings ("1/2", "-1/4"); exact values stay exact through every
 verdict.  Every JSON object is read by ``_object``, which names the keys its
-block may carry and refuses any other, and every list by ``_items``; so a
-misspelt key is a parse error at its own path, inside a block as at the top.
-Parse failures carry a JSON path to the offending location.
-``scenario_to_dict`` writes a scenario back in the same form.
+block may carry and refuses any other or a repeated one, and every list by
+``_items``; so a misspelt or repeated key is a parse error at its own path.
+Table entries and model responses share one reader and one writer.  Parse
+failures carry a JSON path to the offending location.  ``scenario_to_dict``
+writes a scenario back in the same form.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import TYPE_CHECKING, Any, Callable
 
 from .errors import InvalidGraphError, ScenarioParseError
 from .graph import KSGraph, build_graph
-from .scenario import LazyBlocks, Scenario, _fail
+from .scenario import LazyBlocks, RepeatedKey, Scenario, _fail
 
 # Each block parser imports the module its block needs, so a call loads only
 # what its input carries; realizations are checked here and built on first read.
@@ -35,6 +36,8 @@ def _object(value: Any, what: str, path: str, required=(), optional=(), named=Fa
     names (labels) to values, so any key is allowed."""
     if not isinstance(value, dict):
         _fail(f"{what} must be an object", path)
+    if isinstance(value, RepeatedKey):
+        _fail(f"repeated key {value.key!r}", f"{path}.{value.key}")
     if not all(key in value for key in required):
         _fail(f"{what} needs {', '.join(map(repr, required))}", path)
     if not named:
@@ -220,6 +223,25 @@ def _build_realization(assoc, comeasurable, function_tags) -> Realization:
     return Realization.build(assoc, comeasurable, function_tags)
 
 
+def _tables(doc: dict, block: str, column: str, basics, path: str) -> dict:
+    """A theory's ``entries`` (``column`` "preparation") or a model's
+    ``responses`` ("ontic") as {(joint, column's label): distribution};
+    a second item for the same joint and label is refused."""
+    tables: dict = {}
+    for item, ipath in _items(doc.get(block), f"'{block}'", f"{path}.{block}"):
+        keys = ("measurements", column, "distribution")
+        item = _object(item, f"an item of '{block}'", ipath, keys)
+        joint = frozenset(_labels(item["measurements"], "'measurements'", f"{ipath}.measurements"))
+        parts = sum(m.label in joint for m in basics)
+        dist = _distribution(item["distribution"], "'distribution'", f"{ipath}.distribution", parts)
+        key = _label(item[column], repr(column), f"{ipath}.{column}")
+        if (joint, key) in tables:
+            name = "&".join(sorted(joint))
+            _fail(f"{name} already has a distribution at {column} {key!r}", ipath)
+        tables[(joint, key)] = {tuple(outcomes.split(",")): p for outcomes, p in dist.items()}
+    return tables
+
+
 def _parse_theory(doc: Any, path: str) -> OperationalTheory:
     from .operational import Measurement, OperationalTheory
 
@@ -251,14 +273,8 @@ def _parse_theory(doc: Any, path: str) -> OperationalTheory:
         for raw, ipath in _items(doc.get("comeasurable", []), "'comeasurable'", cpath)
     ]
     tables: dict = {}
-    for item, epath in _items(doc.get("entries"), "'entries'", f"{path}.entries"):
-        item = _object(item, "entry", epath, ("measurements", "preparation", "distribution"))
-        joint = frozenset(_labels(item["measurements"], "'measurements'", f"{epath}.measurements"))
-        order = [m.label for m in basics if m.label in joint]
-        dist = _distribution(item["distribution"], "'distribution'", f"{epath}.distribution",
-                             len(order))
-        prep = _label(item["preparation"], "preparation", f"{epath}.preparation")
-        tables.setdefault(joint, {})[prep] = {tuple(key.split(",")): p for key, p in dist.items()}
+    for (joint, prep), dist in _tables(doc, "entries", "preparation", basics, path).items():
+        tables.setdefault(joint, {})[prep] = dist
     try:
         return OperationalTheory(basics, comeasurable, preparations, tables)
     except Exception as exc:
@@ -277,13 +293,7 @@ def _parse_model(doc: Any, theory: OperationalTheory, path: str) -> OntologicalM
         prep: _distribution(dist, "a preparation", f"{ppath}.{prep}")
         for prep, dist in raw_preps.items()
     }
-    responses = {}
-    for item, rpath in _items(doc.get("responses", []), "'responses'", f"{path}.responses"):
-        item = _object(item, "response", rpath, ("measurements", "ontic", "distribution"))
-        joint = frozenset(_labels(item["measurements"], "'measurements'", f"{rpath}.measurements"))
-        dist = _distribution(item["distribution"], "'distribution'", f"{rpath}.distribution")
-        lam = _label(item["ontic"], "ontic state", f"{rpath}.ontic")
-        responses[(joint, lam)] = {tuple(key.split(",")): p for key, p in dist.items()}
+    responses = _tables(doc, "responses", "ontic", theory.basics, path)
     try:
         return OntologicalModel(theory.basics, theory.maximal_joints, ontic, preps, responses)
     except Exception as exc:
@@ -332,6 +342,24 @@ def _value_to_json(value):
     if isinstance(value, Fraction):
         return str(value)
     return float(value)
+
+
+def _table_items(theory: OperationalTheory, column: str) -> list[dict]:
+    """The inverse of ``_tables``: one item per stored distribution, by joint
+    in the basics' order, then in the theory's preparation order."""
+    return [
+        {
+            "measurements": list(theory.component_order(joint)),
+            column: prep,
+            "distribution": {
+                ",".join(combo): _value_to_json(v)
+                for combo, v in sorted(theory.tables[joint][prep].items())
+            },
+        }
+        for joint in sorted(theory.tables, key=theory._joint_key)
+        for prep in theory.preparations
+        if prep in theory.tables[joint]
+    ]
 
 
 def _exact_rows(rho: DensityOperator) -> list[list[list[str]]]:
@@ -383,19 +411,6 @@ def scenario_to_dict(scenario: Scenario) -> dict:
         doc["realizations"] = blocks
     theory = scenario.theory
     if theory is not None:
-        entries = []
-        for joint in sorted(theory.tables, key=theory._joint_key):
-            order = theory.component_order(joint)
-            for prep in theory.preparations:
-                if prep not in theory.tables[joint]:
-                    continue
-                dist = {
-                    ",".join(combo): _value_to_json(v)
-                    for combo, v in sorted(theory.tables[joint][prep].items())
-                }
-                entries.append(
-                    {"measurements": list(order), "preparation": prep, "distribution": dist}
-                )
         maximal = [list(theory.component_order(j)) for j in theory.maximal_joints]
         doc["tables"] = {
             "measurements": [
@@ -407,33 +422,18 @@ def scenario_to_dict(scenario: Scenario) -> dict:
             ],
             "comeasurable": maximal,
             "preparations": list(theory.preparations),
-            "entries": entries,
+            "entries": _table_items(theory, "preparation"),
         }
     if scenario.models:
-        blocks = {}
-        for mname, model in scenario.models.items():
-            responses = []
-            for (joint, lam), dist in sorted(
-                model.responses.items(),
-                key=lambda kv: (sorted(kv[0][0]), kv[0][1]),
-            ):
-                responses.append(
-                    {
-                        "measurements": list(model.component_order(joint)),
-                        "ontic": lam,
-                        "distribution": {
-                            ",".join(combo): _value_to_json(v)
-                            for combo, v in sorted(dist.items())
-                        },
-                    }
-                )
-            blocks[mname] = {
+        doc["models"] = {
+            mname: {
                 "ontic_states": list(model.ontic_states),
                 "preparations": {
                     prep: {lam: _value_to_json(v) for lam, v in dist.items()}
                     for prep, dist in model.prep_distributions.items()
                 },
-                "responses": responses,
+                "responses": _table_items(model.by_state, "ontic"),
             }
-        doc["models"] = blocks
+            for mname, model in scenario.models.items()
+        }
     return doc

@@ -1038,6 +1038,8 @@ def _mutate(doc, path, value):
          "$.tables.entries[0].distribution.black,big"),
         (("models", "m1", "preparations", "r1", "bb"), float("nan"),
          "$.models.m1.preparations.r1.bb"),
+        # a repeated preparation label, refused like a repeated basic label
+        (("tables", "preparations"), ["r1", "r2", "r1"], "$.tables"),
     ],
 )
 def test_mistyped_box_blocks_exit_two(capsys, tmp_path, where, value, expected_path):
@@ -1155,6 +1157,57 @@ def test_misspelt_comeasurable_exits_two(capsys, tmp_path):
     code, out, err = run(capsys, "classify", str(path), "--realization", "full")
     assert (code, out) == (2, "")
     assert err.startswith("parse error: $.realizations.full.comeasurables: unknown key")
+
+
+def test_repeated_key_exits_two(capsys, tmp_path):
+    """``json`` keeps a repeated key's last value, so a second, empty
+    ``comeasurable`` turned the square's type I verdict into type III."""
+    doc = builtin_doc(capsys, "peres-mermin")
+    doc["realizations"]["full"]["function_tags"] = "MARK"
+    text = json.dumps(doc).replace(
+        '"function_tags": "MARK"', '"function_tags": [], "comeasurable": []'
+    )
+    path = tmp_path / "repeated.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "classify", str(path), "--realization", "full")
+    assert (code, out) == (2, "")
+    assert err.startswith(
+        "parse error: $.realizations.full.comeasurable: repeated key 'comeasurable'"
+    )
+
+
+@pytest.mark.parametrize(
+    "block, item, expected",
+    [
+        # a response at an ontic state the model lacks, or for a joint outside the family
+        (("models", "m1", "responses"),
+         {"measurements": ["color"], "ontic": "nowhere", "distribution": {"black": "1"}},
+         "$.models.m1: invalid model: "),
+        (("models", "m1", "responses"),
+         {"measurements": ["color", "size", "weight"], "ontic": "bb",
+          "distribution": {"black,big": "1"}},
+         "$.models.m1: invalid model: "),
+        # a second distribution for one joint and one ontic state or preparation
+        (("models", "m1", "responses"),
+         {"measurements": ["color"], "ontic": "bb", "distribution": {"white": "1"}},
+         "$.models.m1.responses[6]: color already has a distribution at ontic 'bb'"),
+        (("tables", "entries"),
+         {"measurements": ["size", "color"], "preparation": "r1",
+          "distribution": {"black,big": "1"}},
+         "$.tables.entries[2]: color&size already has a distribution at preparation 'r1'"),
+    ],
+)
+def test_stray_or_second_item_exits_two(capsys, tmp_path, block, item, expected):
+    doc = builtin_doc(capsys, "box-m1")
+    items = doc
+    for key in block:
+        items = items[key]
+    items.append(item)
+    path = tmp_path / "box.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "search-model", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"parse error: {expected}")
 
 
 def test_preparation_that_is_no_distribution_exits_two_at_it(capsys, tmp_path):

@@ -24,6 +24,8 @@ from kscheck.ontology import (
     search_states,
 )
 from kscheck.operational import (
+    DisturbanceWitness,
+    Family,
     Measurement,
     OperationalTheory,
     from_quantum,
@@ -123,6 +125,112 @@ def random_theories(draw):
     return OperationalTheory(basics, [sorted(s) for s in declared], ("r",), tables)
 
 
+def noncontextual_oracle(model):
+    """Independent oracle for ``is_noncontextual`` on exact models: the
+    marginal loop it replaced.  For x inside y, the x-marginal of y's
+    response must equal x's own response in every ontic state; returns each
+    (x, ontic state, outcomes) at which it does not."""
+    theory = model.by_state
+    flagged = set()
+    members = sorted(model.family, key=lambda j: (len(j), theory.joint_name(j)))
+    for sub in members:
+        sub_order = theory.component_order(sub)
+        for big in (y for y in members if sub < y):
+            positions = [theory.component_order(big).index(label) for label in sub_order]
+            for lam in model.ontic_states:
+                big_response = model.response(big, lam)
+                for outcomes in theory.outcome_tuples(sub):
+                    marginal = sum(
+                        v
+                        for combo, v in big_response.items()
+                        if all(combo[p] == o for p, o in zip(positions, outcomes))
+                    )
+                    if marginal != model.response_probability(sub, outcomes, lam):
+                        flagged.add((sub_order, lam, outcomes))
+    return flagged
+
+
+@st.composite
+def random_models(draw):
+    """Small exact models: two or three basics (the first may have three
+    outcomes), one to three comeasurable sets of two or more, and one to
+    three ontic states.  In each state every member's response is the
+    marginal of one distribution over all the basics, so the model is
+    noncontextual until up to two drawn responses are replaced by random
+    ones."""
+    n = draw(st.integers(2, 3))
+    outcomes = (("a", 1), ("b", -1), ("c", 0))
+    basics = [
+        Measurement(f"m{i}", outcomes[: 3 if i == 0 and draw(st.booleans()) else 2])
+        for i in range(n)
+    ]
+    labels = [m.label for m in basics]
+    declared = draw(st.lists(st.sets(st.sampled_from(labels), min_size=2), min_size=1, max_size=3))
+    ontic = [f"l{i}" for i in range(draw(st.integers(1, 3)))]
+
+    def distribution(space):
+        weights = draw(st.lists(st.integers(0, 2), min_size=len(space), max_size=len(space)))
+        weights[0] = weights[0] or 1
+        return {t: Fraction(w, sum(weights)) for t, w in zip(space, weights) if w}
+
+    every = list(product(*(m.outcome_labels for m in basics)))
+    responses = {}
+    for lam in ontic:
+        whole = distribution(every)
+        for member in Family(declared, labels):
+            positions = [i for i, label in enumerate(labels) if label in member]
+            marginal = {}
+            for combo, p in whole.items():
+                key = tuple(combo[i] for i in positions)
+                marginal[key] = marginal.get(key, 0) + p
+            responses[(member, lam)] = marginal
+    for member, lam in draw(st.lists(st.sampled_from(list(responses)), max_size=2)):
+        space = list(product(*(m.outcome_labels for m in basics if m.label in member)))
+        responses[(member, lam)] = distribution(space)
+    return OntologicalModel(basics, declared, ontic, {"r": {ontic[0]: Fraction(1)}}, responses)
+
+
+class TestConstruction:
+    """Responses are checked as a theory's tables are, and every family
+    member needs one in every ontic state."""
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ("unknown ontic state", "unknown preparation 'nowhere'"),
+            ("joint outside the family", "color&size&weight outside the family"),
+            ("missing non-maximal response", "missing response for size at ontic state ws"),
+            ("repeated basic label", "basic measurement labels must be distinct"),
+            ("repeated ontic state", "preparation labels must be distinct"),
+        ],
+    )
+    def test_rejected(self, box_fixtures, change, message):
+        model = box_fixtures[0].model
+        basics, ontic = list(model.basics), list(model.ontic_states)
+        responses = dict(model.responses)
+        if change == "unknown ontic state":
+            responses[(frozenset({"color"}), "nowhere")] = {("black",): Fraction(1)}
+        elif change == "joint outside the family":
+            joint = frozenset({"color", "size", "weight"})
+            responses[(joint, "bb")] = {("black", "big"): Fraction(1)}
+        elif change == "missing non-maximal response":
+            del responses[(frozenset({"size"}), "ws")]
+        elif change == "repeated basic label":
+            basics.append(basics[0])
+        else:
+            ontic.append(ontic[0])
+        with pytest.raises(ValueError, match=message):
+            OntologicalModel(
+                basics, model.maximal_joints(), ontic, model.prep_distributions, responses
+            )
+
+    def test_responses_are_the_by_state_tables(self, box_fixtures):
+        model = box_fixtures[0].model
+        assert model.by_state.preparations == model.ontic_states
+        for (joint, lam), dist in model.responses.items():
+            assert model.by_state.tables[joint][lam] is dist is model.response(joint, lam)
+
+
 class TestRecovers:
     def test_all_fixtures_recover(self, box_fixtures):
         for fixture in box_fixtures:
@@ -209,6 +317,24 @@ class TestNoncontextual:
         ok, witnesses = is_noncontextual(m3.model)
         assert not ok
         assert witnesses
+
+    def test_witnesses_name_the_ontic_state(self, box_fixtures):
+        _, witnesses = is_noncontextual(box_fixtures[2].model)
+        assert {type(w) for w in witnesses} == {DisturbanceWitness}
+        assert {w.preparation for w in witnesses} == {"bb", "ws"}
+        # in bb, color alone reads black but inside color&size white
+        flip = DisturbanceWitness(
+            ("color",), ("color",), ("color", "size"), ("black",), "bb", 1.0, 0.0
+        )
+        assert flip in witnesses
+
+    @given(random_models())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_marginal_loop(self, model):
+        ok, witnesses = is_noncontextual(model)
+        flagged = noncontextual_oracle(model)
+        assert ok == (not flagged)
+        assert {(w.sub_joint, w.preparation, w.outcomes) for w in witnesses} == flagged
 
     def test_vacuous_without_joints(self):
         theory = no_joint_theory()
@@ -369,7 +495,7 @@ class TestSpekkens:
             model = OntologicalModel((a, b), family, ontic, preps, responses)
             tables = {}
             for measured in (frozenset({"a"}), frozenset({"b"}), joint):
-                outcome_space = model.outcome_tuples(measured)
+                outcome_space = model.by_state.outcome_tuples(measured)
                 tables[measured] = {
                     "r1": {
                         outcomes: sum(

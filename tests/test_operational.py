@@ -70,6 +70,11 @@ class TestStructure:
         with pytest.raises(ValueError):
             OperationalTheory((coin,), (), ("fair",), {})
 
+    def test_repeated_preparation_labels_rejected(self):
+        theory = single_basic_theory()
+        with pytest.raises(ValueError, match="preparation labels must be distinct"):
+            OperationalTheory(theory.basics, (), ("fair", "fair"), theory.tables)
+
 
 class TestMarginal:
     def test_containments_agree_for_the_square(self, pm_theory_full):
