@@ -12,15 +12,16 @@ with it once the output is flushed.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
-import re
 import sys
 import time
+from itertools import chain
 from typing import TYPE_CHECKING
 
 from .errors import BadArgumentError, KSCheckError, MissingBlockError
-from .graph import SEARCH_CAP
+from .graph import CHUNK_ROWS, SEARCH_CAP
 from .scenario import Scenario, load_scenario
 from .values import Value
 
@@ -36,27 +37,31 @@ EXIT_MISSING_BLOCK = 4
 EXIT_CAP = 5
 EXIT_BAD_ARGUMENT = 6
 
-# json.dumps of a nonempty list of nonempty integer rows, with its default
-# separators; compiled on first use, so verbs that list no rows never pay for it
-_INT_ROWS = r"\[\[[-\d, ]+\](?:, \[[-\d, ]+\])*\]"
+
+def _int_rows(rows) -> bool:
+    """True for a nonempty list or tuple of nonempty rows of plain ints."""
+    shaped = isinstance(rows, (list, tuple)) and all(rows) and {*map(type, rows)} <= {list, tuple}
+    return bool(rows) and shaped and {*map(type, chain.from_iterable(rows))} == {int}
 
 
-def _indented_rows(rows) -> str | None:
-    """``rows`` as ``json.dumps(doc, indent=2)`` writes them under a key of doc,
-    or None unless they are nonempty rows of integers.
-
-    ``indent=2`` always runs the pure-Python encoder; the compact dump runs
-    the C one, and in integer rows only ``", "`` and ``"], ["`` need
-    breaking up.
-    """
-    compact = json.dumps(rows)
-    if not re.fullmatch(_INT_ROWS, compact):
-        return None
-    body = compact[2:-2].replace("], [", "\n    ],\n    [\n      ").replace(", ", ",\n      ")
-    return f"[\n    [\n      {body}\n    ]\n  ]"
+def _indented_rows(rows):
+    """Integer ``rows`` as ``indent=2`` writes them one level down, a chunk at
+    a time, from the C encoder's compact dump (``indent`` runs the Python one):
+    in integer rows only ``", "`` and ``"], ["`` need breaking up."""
+    yield "[\n    [\n      "
+    for start in range(0, len(rows), CHUNK_ROWS):
+        if start:
+            yield "\n    ],\n    [\n      "
+        compact = json.dumps(rows[start : start + CHUNK_ROWS])
+        yield compact[2:-2].replace("], [", "\n    ],\n    [\n      ").replace(", ", ",\n      ")
+    yield "\n    ]\n  ]"
 
 
 class Report(Value):
+    """A verb's verdicts as text ``lines`` or one JSON document.  ``to_json``
+    writes an integer witness listing a chunk at a time, deciding that every
+    row is one before writing the first, so no listing is held as a string."""
+
     _fields = ("command", "inputs", "verdicts", "witnesses", "certificate", "timing_s", "lines")
 
     def __init__(
@@ -81,17 +86,21 @@ class Report(Value):
         """The JSON document: every field but the text ``lines``, in field order."""
         return {name: getattr(self, name) for name in self._fields if name != "lines"}
 
-    def to_json(self) -> str:
-        """``json.dumps(self.to_dict(), indent=2)``, with integer witness rows
-        encoded apart and spliced in."""
-        doc = self.to_dict()
-        rows = _indented_rows(self.witnesses) if self.witnesses else None
-        if rows is None:
-            return json.dumps(doc, indent=2)
-        doc["witnesses"] = None
-        # every other "witnesses" key is indented deeper, and strings escape newlines
-        key = '\n  "witnesses": '
-        return json.dumps(doc, indent=2).replace(key + "null", key + rows, 1)
+    def to_json(self, out=None) -> str | None:
+        """``json.dumps(self.to_dict(), indent=2)``, field by field, written to
+        ``out`` when it is given and returned otherwise."""
+        sink = io.StringIO() if out is None else out
+        separator = "{\n  "
+        for name, value in self.to_dict().items():
+            sink.write(f"{separator}{json.dumps(name)}: ")
+            separator = ",\n  "
+            if name == "witnesses" and _int_rows(value):
+                sink.writelines(_indented_rows(value))
+            else:
+                # strings escape their newlines, so every newline is layout
+                sink.write(json.dumps(value, indent=2).replace("\n", "\n  "))
+        sink.write("\n}")
+        return sink.getvalue() if out is None else None
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Report":
@@ -480,7 +489,8 @@ def main(argv=None) -> int:
         return exc.exit_code
     try:
         if args.json:
-            print(report.to_json())
+            report.to_json(sys.stdout)
+            print()
         else:
             print(report.render_text())
         sys.stdout.flush()

@@ -7,10 +7,10 @@ multiply to that edge's sign.  Those constraints are a linear system over
 GF(2), and ``_echelon`` solves such systems by Gaussian elimination:
 ``search_assignments`` with one row per edge, the type II pipeline in
 ``realization`` with one per pinned vertex and per relation of each other
-edge.  ``depth_first`` is the package's one search over general
-constraints, a depth-first table-constraint search with branch and bound:
-the model and robustness searches in ``ontology``, whose supports are not
-parity sets in general, run on it.
+edge, and ``ontology``'s searches when every support is a parity class.
+``depth_first`` is the package's one search over general constraints, a
+depth-first table-constraint search with branch and bound: ``ontology``'s
+searches run on it when some support is not a parity class.
 """
 
 from __future__ import annotations
@@ -27,6 +27,9 @@ from .values import Frozen
 
 # Most variables (vertices or basic measurements) an exhaustive search takes.
 SEARCH_CAP = 24
+
+# Rows per chunk when a listing is turned into tuples or written out.
+CHUNK_ROWS = 256
 
 # A total assignment of ±1 values, aligned with the graph's vertex order.
 ValueAssignment = tuple[int, ...]
@@ -325,8 +328,8 @@ def _solutions(n_vertices: int, pivots: dict[int, tuple[int, int]]) -> tuple[Val
     Every row's other vertices lie below its pivot, so walking the vertices
     from 0 upward a free vertex takes +1 and then -1, and a pivot is forced
     by the vertices already assigned: no branch dies.  The walk keeps each
-    partial assignment as a bit mask and turns the masks into ±1 tuples at
-    the end, one vertex column at a time.
+    partial assignment as a bit mask, and ``CHUNK_ROWS`` masks at a time
+    become ±1 tuples, so no full-length vertex column is ever built.
     """
     masks = [0]
     for v in range(n_vertices):
@@ -340,8 +343,11 @@ def _solutions(n_vertices: int, pivots: dict[int, tuple[int, int]]) -> tuple[Val
             doubled[::2] = masks
             doubled[1::2] = [x | bit for x in masks]
             masks = doubled
-    columns = [[-1 if x >> v & 1 else 1 for x in masks] for v in range(n_vertices)]
-    return tuple(zip(*columns)) if columns else ((),)
+    rows: list[ValueAssignment] = []
+    for start in range(0, len(masks), CHUNK_ROWS):
+        chunk = masks[start : start + CHUNK_ROWS]
+        rows += zip(*[[-1 if x >> v & 1 else 1 for x in chunk] for v in range(n_vertices)])
+    return tuple(rows) if n_vertices else ((),)
 
 
 def _first_solution(n_vertices: int, pivots: dict[int, tuple[int, int]]) -> ValueAssignment:

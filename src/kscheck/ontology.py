@@ -11,11 +11,12 @@ and responses carry no preparation argument (lambda-sufficiency).
 
 The existence search ranges over deterministic outcome assignments to the
 basic measurements only; noncontextual value-definite responses factorize,
-so nothing more general can exist.  Each verb runs one ``graph.depth_first``
-pass, which checks each maximal joint's support as soon as its members have
-values.  ``search_states`` and ``min_violation_fraction`` branch-and-bound
-the number of violated joints until an assignment violates none, and the
-latter stops there; ``search_ncvd`` cuts a branch at its first violation.
+so nothing more general can exist.  Parity supports make a GF(2) system for
+``graph._echelon``; any others get one ``graph.depth_first`` pass, which
+checks each support once its members have values: ``search_states`` and
+``min_violation_fraction`` branch-and-bound the number of violated joints
+until an assignment violates none, and the latter stops there;
+``search_ncvd`` cuts a branch at its first violation.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from math import prod
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import NotTwoValuedError
-from .graph import SEARCH_CAP, depth_first
+from .graph import SEARCH_CAP, _echelon, _first_solution, _solutions, check_cap, depth_first
 from .operational import KNOWN_TOL, Family, Joint, Measurement, OperationalTheory
 from .operational import differs, distribution_problem, is_nondisturbing, support
 
@@ -47,7 +48,9 @@ class OntologicalModel:
     ):
         tables: dict[Joint, dict[str, Mapping]] = {}
         for (joint, lam), dist in responses.items():
-            tables.setdefault(frozenset(joint), {})[lam] = dist
+            if lam in (per_state := tables.setdefault(frozenset(joint), {})):
+                raise ValueError(f"two responses for {'&'.join(sorted(joint))} at ontic state {lam}")
+            per_state[lam] = dist
         try:
             self.by_state = OperationalTheory(basics, comeasurable, ontic_states, tables)
         except ValueError as exc:
@@ -295,39 +298,79 @@ def _state_name(outcomes: Iterable[str]) -> str:
 def _support_search(
     theory: OperationalTheory, cap: int, first_only: bool = False, minimize: bool = True
 ) -> tuple[list[tuple[str, ...]], Fraction | None]:
-    """``(models, fraction)`` from one ``depth_first`` pass: the assignments
-    to the basics that violate no maximal joint's support, in
-    ``itertools.product`` order, and the least fraction of joints violated.
-    Before the first model the count is branch-and-bounded; after it each
-    branch is cut at its first violation, or ``first_only`` stops.  Without
-    ``minimize`` branches are always cut there, and the fraction is None.
-    """
+    """``(models, fraction)``: the assignments to the basics that violate no
+    maximal joint's support, in ``itertools.product`` order (only the first
+    with ``first_only``), and the least fraction of joints violated (None
+    without ``minimize``).  ``_parity_search`` answers if it can, else one
+    ``depth_first`` pass that bounds the count until a first model (never
+    without ``minimize``), then cuts each branch at its first violation."""
     for m in theory.basics:
         if len(m.outcomes) != 2:
             raise NotTwoValuedError(
                 f"search needs two-valued basics; {m.label} has {len(m.outcomes)} outcomes"
             )
+    check_cap(len(theory.basics), cap)
     index = {m.label: i for i, m in enumerate(theory.basics)}
     joints = theory.maximal_joints
-    constraints = (
-        (
-            tuple(index[label] for label in theory.component_order(joint)),
-            frozenset(support(theory, joint)),
-        )
-        for joint in joints
-    )
-    models = []
+    constraints = [
+        (tuple(index[label] for label in theory.component_order(j)), frozenset(support(theory, j)))
+        for j in joints
+    ]
+    solved = _parity_search(theory.basics, constraints, first_only, minimize)
+    if solved is None:
+        models = []
 
-    def leaf(values, violated):
-        if violated:
-            return violated
-        models.append(values)
-        return 0 if first_only else 1
+        def leaf(values, violated):
+            if violated:
+                return violated
+            models.append(values)
+            return 0 if first_only else 1
 
-    domains = [m.outcome_labels for m in theory.basics]
-    best = depth_first(domains, constraints, len(joints) + 1 if minimize else 1, leaf, cap)
-    fraction = Fraction(0) if models else Fraction(best, len(joints))
-    return models, fraction if minimize else None
+        domains = [m.outcome_labels for m in theory.basics]
+        best = depth_first(domains, constraints, len(joints) + 1 if minimize else 1, leaf, cap)
+    else:
+        models, best = solved
+    if not minimize:
+        return models, None
+    return models, Fraction(0) if models else Fraction(best, len(joints))
+
+
+def _parity_search(
+    basics: Sequence[Measurement], constraints: list, first_only: bool, minimize: bool
+) -> tuple[list[tuple[str, ...]], int | None] | None:
+    """``(models, least number of joints violated)`` by GF(2) elimination, or
+    None unless every support is one parity class of its members' outcome
+    bits (bit 1 for a basic's second outcome label): then each joint is a row.
+    A consistent system lists its models as ``graph._solutions`` does; for an
+    inconsistent one the least is the least weight over b + Im(A), b the
+    classes and A the joint-by-basic incidence matrix, found in 2^rank cases."""
+    outcomes = [m.outcome_labels for m in basics]
+    rows = []
+    for positions, allowed in constraints:
+        classes = {sum(o == outcomes[p][1] for p, o in zip(positions, t)) & 1 for t in allowed}
+        if len(allowed) != 1 << (len(positions) - 1) or len(classes) != 1:
+            return None
+        rows.append((sum(1 << p for p in positions), classes.pop()))
+    n = len(basics)
+    pivots = _echelon(rows)
+    if pivots is not None:
+        found = [_first_solution(n, pivots)] if first_only else _solutions(n, pivots)
+        return [tuple(labels[s < 0] for labels, s in zip(outcomes, row)) for row in found], 0
+    if not minimize:
+        return [], None
+    # column v: the joints that flipping basic v moves in or out of its class
+    columns = (sum(1 << j for j, (mask, _) in enumerate(rows) if mask >> v & 1) for v in range(n))
+    basis = [column for column, _ in _echelon((c, 0) for c in columns).values()]
+    # the sums of the first ten basis vectors are tabled, the rest Gray-walked
+    table = [0]
+    for column in basis[:10]:
+        table += [x ^ column for x in table]
+    violated, best = sum(rhs << j for j, (_, rhs) in enumerate(rows)), len(rows)
+    for i in range(1 << len(basis[10:])):
+        if i:
+            violated ^= basis[9 + (i & -i).bit_length()]
+        best = min(best, *map(int.bit_count, map(violated.__xor__, table)))
+    return [], best
 
 
 def search_states(theory: OperationalTheory, cap: int = SEARCH_CAP) -> tuple[list[str], Fraction]:
@@ -363,7 +406,8 @@ def min_violation_fraction(theory: OperationalTheory, cap: int = SEARCH_CAP) -> 
     """Minimum, over all deterministic noncontextual assignments, of the
     fraction of maximal joints whose induced outcome falls outside the
     support.  Exact rational; 0 iff a noncontextual value-definite model
-    exists, and the search stops at the first such assignment.
+    exists, and the search stops at the first such assignment.  Parity
+    supports give it as a coset's least weight, otherwise branch and bound.
     """
     _, fraction = _support_search(theory, cap, first_only=True)
     if not theory.maximal_joints:

@@ -1,20 +1,25 @@
 """CLI verbs, exit codes, JSON round-trips."""
 
 import hashlib
+import io
 import json
 import re
 import resource
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
 import pytest
 
-from kscheck import cli, errors, ontology
+from kscheck import catalog, cli, errors, ontology
 from kscheck.catalog import CATALOG, GHZ_EDGES, GHZ_VERTICES, PM_EDGES, PM_VERTICES
 from kscheck.cli import Report, main
+from kscheck.graph import CHUNK_ROWS
+from kscheck.operational import OperationalTheory
+from kscheck.scenario import Scenario
 from kscheck.scenario_json import parse_scenario, scenario_to_dict
 
 SINGLE_EDGE = {
@@ -58,6 +63,24 @@ THREE_OUTCOMES = {
         ],
     },
 }
+
+
+# integer rows for listings of more than two chunks
+INT_ROWS = [list(w) for w in product((1, -1), repeat=10)]
+
+
+def narrowed_square(tmp_path) -> str:
+    """A tables file of the Peres-Mermin square whose first line's support
+    is one tuple of its parity class: not a parity class, so the model and
+    robustness searches take ``depth_first``.  Still UNSAT, at 1/6."""
+    theory = catalog.pm_theory("full")
+    first = theory.maximal_joints[0]
+    one = {prep: {("+1", "+1", "+1"): 1} for prep in theory.preparations}
+    tables = {**theory.tables, first: one}
+    narrowed = OperationalTheory(theory.basics, theory.maximal_joints, theory.preparations, tables)
+    path = tmp_path / "narrowed-square.json"
+    path.write_text(json.dumps(scenario_to_dict(Scenario("narrowed-square", "", theory=narrowed))))
+    return str(path)
 
 
 def run(capsys, *argv):
@@ -280,7 +303,9 @@ class TestSearchModel:
         assert doc["verdicts"]["min_violation_fraction"] == "0"
 
 
-    def test_unsat_runs_one_search_and_builds_no_model(self, capsys, monkeypatch):
+    def test_unsat_runs_one_search_and_builds_no_model(self, capsys, monkeypatch, tmp_path):
+        # one line's support is a single tuple, not a parity class, so the
+        # table search runs
         calls = []
         depth_first = ontology.depth_first
 
@@ -293,6 +318,28 @@ class TestSearchModel:
 
         monkeypatch.setattr(ontology, "depth_first", counted)
         monkeypatch.setattr(ontology.OntologicalModel, "__init__", no_model)
+        code, out, _ = run(capsys, "search-model", narrowed_square(tmp_path), "--json")
+        doc = json.loads(out)
+        assert code == 0
+        assert doc["verdicts"]["satisfiable"] is False
+        assert doc["verdicts"]["min_violation_fraction"] == "1/6"
+        assert len(calls) == 1
+
+    def test_parity_unsat_runs_one_search_and_builds_no_model(self, capsys, monkeypatch):
+        # the square's supports are parity classes: elimination, no table search
+        calls = []
+        support_search = ontology._support_search
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return support_search(*args, **kwargs)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("parity supports searched by depth_first or built a model")
+
+        monkeypatch.setattr(ontology, "_support_search", counted)
+        monkeypatch.setattr(ontology, "depth_first", refuse)
+        monkeypatch.setattr(ontology.OntologicalModel, "__init__", refuse)
         code, out, _ = run(
             capsys, "search-model", "peres-mermin", "--realization", "full", "--json"
         )
@@ -913,6 +960,15 @@ print(json.dumps([bare, loaded]))
             [[[1], 2]],
             [[1], [[2], -3]],
             [[1], None],
+            # on and around the chunk boundaries
+            INT_ROWS[:1],
+            INT_ROWS[: CHUNK_ROWS - 1],
+            INT_ROWS[:CHUNK_ROWS],
+            INT_ROWS[: CHUNK_ROWS + 1],
+            INT_ROWS[: 2 * CHUNK_ROWS + 1],
+            # an odd row after a full chunk: the plain encoder from the start
+            INT_ROWS[:CHUNK_ROWS] + [[1], None],
+            INT_ROWS[: 2 * CHUNK_ROWS] + [(True, -1)],
         ],
     )
     @pytest.mark.parametrize(
@@ -928,6 +984,28 @@ print(json.dumps([bare, loaded]))
             timing_s=0.25,
         )
         assert report.to_json() == json.dumps(report.to_dict(), indent=2)
+        streamed = io.StringIO()
+        assert report.to_json(streamed) is None
+        assert streamed.getvalue() == report.to_json()
+
+    def test_long_listing_is_written_a_chunk_at_a_time(self):
+        class Counter(io.TextIOBase):
+            size = 0
+
+            def write(self, text):
+                self.size += len(text)
+                return len(text)
+
+        report = Report("verify", {"source": "s"}, {}, witnesses=list(product((1, -1), repeat=15)))
+        out = Counter()
+        tracemalloc.start()
+        try:
+            report.to_json(out)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.size == len(report.to_json())
+        assert peak < out.size / 4
 
     def test_seed_flag_rejected(self):
         with pytest.raises(SystemExit) as exc:

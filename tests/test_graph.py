@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kscheck import catalog
+from kscheck import graph as ks_graph
 from kscheck.errors import CapExceededError, InvalidGraphError
 from kscheck.graph import (
+    CHUNK_ROWS,
     KSGraph,
     admissible_tuples,
     build_graph,
@@ -399,6 +401,17 @@ class TestParitySystem:
             verdict = search_assignments(graph)
             assert list(verdict.witnesses) == depth_first_witnesses(graph)
             assert len(verdict.witnesses) == (count if drop_one_edge else 0)
+
+    @pytest.mark.parametrize("chunk", [1, 7, CHUNK_ROWS])
+    def test_listing_longer_than_two_chunks_matches_table_search(self, monkeypatch, chunk):
+        # four disjoint lines {ZII, IZI, IIZ, ZZZ}: 16 vertices, 2^12 witnesses
+        words = ("ZII", "IZI", "IIZ", "ZZZ")
+        vertices = [(f"{line}{k}", word) for line in "abcd" for k, word in enumerate(words)]
+        graph = build_graph(vertices, [range(4 * line, 4 * line + 4) for line in range(4)])
+        monkeypatch.setattr(ks_graph, "CHUNK_ROWS", chunk)
+        witnesses = search_assignments(graph).witnesses
+        assert len(witnesses) == 2**12 > 2 * CHUNK_ROWS
+        assert list(witnesses) == depth_first_witnesses(graph)
 
     def test_doily_is_unsat(self):
         # the 15 two-qubit words and their 15 lines (Saniga and Planat's

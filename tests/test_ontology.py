@@ -1,15 +1,17 @@
 """Ontological models: the five flags, existence search, robustness bound."""
 
+import random
 from fractions import Fraction
 from itertools import product
+from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from kscheck import ontology
 from kscheck.errors import CapExceededError
-from kscheck.graph import SEARCH_CAP, build_graph, search_assignments
+from kscheck.graph import SEARCH_CAP, build_graph, depth_first, search_assignments
 from kscheck.ontology import (
     OntologicalModel,
     _support_search,
@@ -125,6 +127,62 @@ def random_theories(draw):
     return OperationalTheory(basics, [sorted(s) for s in declared], ("r",), tables)
 
 
+def narrowed(theory):
+    """The theory with its first maximal joint's support cut to the first
+    tuple of it: no longer a parity class."""
+    first = theory.maximal_joints[0]
+    one = {prep: {support(theory, first)[0]: Fraction(1)} for prep in theory.preparations}
+    tables = {**theory.tables, first: one}
+    return OperationalTheory(theory.basics, theory.maximal_joints, theory.preparations, tables)
+
+
+# blocks in which every basic lies on exactly two joints: the joints' bit
+# sums add up to twice the sum of all bits, so an odd sum of the joints'
+# classes leaves at least one joint violated
+PARITY_BLOCKS = (
+    ((0, 1), (1, 2), (0, 2)),
+    ((0, 1, 2), (3, 4, 5), (6, 7, 8), (0, 3, 6), (1, 4, 7), (2, 5, 8)),
+)
+
+
+def parity_table(basics, joint, cls):
+    """A table at preparation ``r``, uniform over the joint's outcome tuples
+    whose bits (each outcome's index in its basic's labels) add up to cls."""
+    parts = [m.outcome_labels for m in basics if m.label in joint]
+    kept = [t for t in product(*parts) if sum(map(tuple.index, parts, t)) % 2 == cls]
+    return {"r": {t: Fraction(1, len(kept)) for t in kept}}
+
+
+@st.composite
+def parity_theories(draw):
+    """Up to 10 two-valued basics, each with its outcome labels in a drawn
+    order, and every maximal joint's support one drawn parity class of its
+    members' outcome bits (bit 1 for the second label).  Most joints come
+    from blocks of ``PARITY_BLOCKS`` (each UNSAT for half of its class
+    draws); the rest are drawn sets, single basics on no joint, or none."""
+    declared, n = [], 0
+    for block in draw(st.lists(st.sampled_from(PARITY_BLOCKS), max_size=3)):
+        size = max(map(max, block)) + 1
+        if n + size <= 10:
+            declared += [[f"m{n + i}" for i in line] for line in block]
+            n += size
+    n += draw(st.integers(0, 10 - n))
+    labels = [f"m{i}" for i in range(n)]
+    if labels:
+        declared += draw(
+            st.lists(st.sets(st.sampled_from(labels), min_size=1, max_size=3), max_size=2)
+        )
+    basics = [
+        Measurement(label, (("-", -1), ("+", 1)) if draw(st.booleans()) else (("+", 1), ("-", -1)))
+        for label in labels
+    ]
+    tables = {
+        joint: parity_table(basics, joint, draw(st.integers(0, 1)))
+        for joint in Family(declared, labels).maximal
+    }
+    return OperationalTheory(basics, [sorted(s) for s in declared], ("r",), tables)
+
+
 def noncontextual_oracle(model):
     """Independent oracle for ``is_noncontextual`` on exact models: the
     marginal loop it replaced.  For x inside y, the x-marginal of y's
@@ -202,6 +260,7 @@ class TestConstruction:
             ("missing non-maximal response", "missing response for size at ontic state ws"),
             ("repeated basic label", "basic measurement labels must be distinct"),
             ("repeated ontic state", "preparation labels must be distinct"),
+            ("reordered second response", "two responses for color&size at ontic state bb"),
         ],
     )
     def test_rejected(self, box_fixtures, change, message):
@@ -217,6 +276,11 @@ class TestConstruction:
             del responses[(frozenset({"size"}), "ws")]
         elif change == "repeated basic label":
             basics.append(basics[0])
+        elif change == "reordered second response":
+            # both keys name the joint color&size; the second must not replace the first
+            first = responses.pop((JOINT, "bb"))
+            responses[(("color", "size"), "bb")] = first
+            responses[(("size", "color"), "bb")] = {("big", "black"): Fraction(1)}
         else:
             ontic.append(ontic[0])
         with pytest.raises(ValueError, match=message):
@@ -668,7 +732,8 @@ class TestPrunedSearchAgainstFullScan:
 
     def test_model_search_counts_no_violations(self, monkeypatch):
         # search_ncvd needs no minimum, so every branch is cut at its first
-        # violated joint (bound 1) rather than branch-and-bounded
+        # violated joint (bound 1) rather than branch-and-bounded; one line's
+        # support is a single tuple, so the table search runs
         bounds = []
         depth_first = ontology.depth_first
 
@@ -677,10 +742,75 @@ class TestPrunedSearchAgainstFullScan:
             return depth_first(domains, constraints, bound, leaf, cap)
 
         monkeypatch.setattr(ontology, "depth_first", recorded)
-        theory = two_squares_theory()
+        theory = narrowed(two_squares_theory())
         assert search_ncvd(theory) is None
         assert search_states(theory) == ([], Fraction(1, 6))
         assert bounds == [1, len(theory.maximal_joints) + 1]
+
+    def test_parity_supports_are_solved_by_elimination(self, monkeypatch):
+        calls = []
+        support_search = ontology._support_search
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return support_search(*args, **kwargs)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("parity supports searched by depth_first or built a model")
+
+        monkeypatch.setattr(ontology, "_support_search", counted)
+        monkeypatch.setattr(ontology, "depth_first", refuse)
+        theory = two_squares_theory()
+        assert search_states(theory) == ([], Fraction(1, 6))
+        assert len(calls) == 1
+        monkeypatch.setattr(OntologicalModel, "__init__", refuse)
+        assert search_ncvd(theory) is None
+        assert min_violation_fraction(theory) == Fraction(1, 6)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_coset_walk_past_the_table_matches_branch_and_bound(self, seed):
+        # seven triangles: 21 basics and rank 14, so the walk goes past the
+        # ten tabled basis vectors; each odd triangle costs exactly one joint
+        rng = random.Random(seed)
+        declared, classes = [], []
+        for block in range(7):
+            declared += [[f"t{block}_{i}" for i in line] for line in PARITY_BLOCKS[0]]
+            classes += [rng.randrange(2) for _ in PARITY_BLOCKS[0]]
+        labels = [f"t{block}_{i}" for block in range(7) for i in range(3)]
+        basics = [
+            Measurement(label, rng.choice(((("+", 1), ("-", -1)), (("-", -1), ("+", 1)))))
+            for label in labels
+        ]
+        tables = {
+            frozenset(line): parity_table(basics, line, cls) for line, cls in zip(declared, classes)
+        }
+        theory = OperationalTheory(basics, declared, ("r",), tables)
+        odd = sum(sum(classes[3 * b : 3 * b + 3]) % 2 for b in range(7))
+        index = {label: i for i, label in enumerate(labels)}
+        constraints = [
+            (tuple(map(index.get, theory.component_order(j))), frozenset(support(theory, j)))
+            for j in theory.maximal_joints
+        ]
+        bound = depth_first(
+            [m.outcome_labels for m in basics], constraints, 22, lambda values, violated: violated
+        )
+        assert bound == odd > 0
+        assert _support_search(theory, SEARCH_CAP) == ([], Fraction(odd, 21))
+        assert min_violation_fraction(theory) == Fraction(odd, 21)
+
+    @given(parity_theories())
+    @example(OperationalTheory((), (), ("r",), {}))
+    @settings(max_examples=150, deadline=None)
+    def test_parity_search_matches_full_scan(self, theory):
+        scan = list(full_scan(theory))
+        models = [combo for combo, violated in scan if violated == 0]
+        best = min(violated for _, violated in scan)
+        fraction = Fraction(0) if models else Fraction(best, len(theory.maximal_joints))
+        event("SAT" if models else "UNSAT")
+        with patch.object(ontology, "depth_first", side_effect=AssertionError("depth_first ran")):
+            assert _support_search(theory, SEARCH_CAP) == (models, fraction)
+            assert _support_search(theory, SEARCH_CAP, first_only=True) == (models[:1], fraction)
+            assert _support_search(theory, SEARCH_CAP, minimize=False) == (models, None)
 
 
 class TestScreeningOffByRepresentation:
