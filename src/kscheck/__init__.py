@@ -4,9 +4,11 @@ The package splits the job the way the arguments themselves do:
 
 - ``pauli``: phase-tracked Pauli words and their algebra on symplectic
   bitmasks;
+- ``parity``: linear systems over GF(2), the one solver behind every
+  parity argument;
 - ``graph``: hypergraphs of commuting observables, the one depth-first
-  constraint search, and FUNC value assignments, solved as a GF(2) parity
-  system, with parity certificates;
+  constraint search, and FUNC value assignments as a ``parity`` system,
+  with parity certificates;
 - ``state``: density operators, exact (integer numerators, validated
   exactly) or floating point;
 - ``quantum``: Born-rule probabilities, support tables and common

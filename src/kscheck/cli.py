@@ -21,7 +21,8 @@ from itertools import chain
 from typing import TYPE_CHECKING
 
 from .errors import BadArgumentError, KSCheckError, MissingBlockError
-from .graph import CHUNK_ROWS, SEARCH_CAP
+from .graph import SEARCH_CAP
+from .parity import CHUNK_ROWS
 from .scenario import Scenario, load_scenario
 from .values import Value
 

@@ -3,14 +3,11 @@
 Vertices carry self-adjoint Pauli words; hyperedges are mutually commuting
 subsets whose ordered product is a signed identity.  A value assignment
 puts ±1 on every vertex; it is admissible when the values on every edge
-multiply to that edge's sign.  Those constraints are a linear system over
-GF(2), and ``_echelon`` solves such systems by Gaussian elimination:
-``search_assignments`` with one row per edge, the type II pipeline in
-``realization`` with one per pinned vertex and per relation of each other
-edge, and ``ontology``'s searches when every support is a parity class.
-``depth_first`` is the package's one search over general constraints, a
-depth-first table-constraint search with branch and bound: ``ontology``'s
-searches run on it when some support is not a parity class.
+multiply to that edge's sign: one row each of a GF(2) system, which
+``search_assignments`` solves with ``parity``.  ``depth_first`` is the
+package's one search over general constraints, a depth-first
+table-constraint search with branch and bound: ``ontology``'s searches run
+on it when some support is not a parity class.
 """
 
 from __future__ import annotations
@@ -20,16 +17,13 @@ from math import prod
 from operator import itemgetter
 from typing import Callable, Collection, Iterable, NamedTuple, Sequence
 
-from . import pauli
+from . import parity, pauli
 from .errors import CapExceededError, InvalidGraphError
 from .pauli import PauliString
 from .values import Frozen
 
 # Most variables (vertices or basic measurements) an exhaustive search takes.
 SEARCH_CAP = 24
-
-# Rows per chunk when a listing is turned into tuples or written out.
-CHUNK_ROWS = 256
 
 # A total assignment of ±1 values, aligned with the graph's vertex order.
 ValueAssignment = tuple[int, ...]
@@ -98,14 +92,6 @@ class TheoremVerdict(NamedTuple):
     certificate: ParityCertificate | None
 
 
-def _bits(mask: int):
-    """The set bit positions of mask, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _maximal_cliques(adjacency: Sequence[int]) -> list[int]:
     """Maximal cliques as vertex masks, by Bron-Kerbosch with Tomita pivoting.
 
@@ -123,9 +109,10 @@ def _maximal_cliques(adjacency: Sequence[int]) -> list[int]:
                 cliques.append(clique)
             return
         pivot = max(
-            _bits(candidates | excluded), key=lambda u: (candidates & adjacency[u]).bit_count()
+            parity.bits(candidates | excluded),
+            key=lambda u: (candidates & adjacency[u]).bit_count(),
         )
-        for v in _bits(candidates & ~adjacency[pivot]):
+        for v in parity.bits(candidates & ~adjacency[pivot]):
             extend(clique | 1 << v, candidates & adjacency[v], excluded & adjacency[v])
             candidates &= ~(1 << v)
             excluded |= 1 << v
@@ -149,7 +136,7 @@ def derive_hyperedges(operators: Sequence[PauliString]) -> tuple[tuple[int, ...]
     adjacency = [mask & ~(1 << v) for v, mask in enumerate(masks)]
     edges = []
     for clique in _maximal_cliques(adjacency):
-        members = tuple(_bits(clique))
+        members = tuple(parity.bits(clique))
         if len(members) < 2:
             continue
         try:
@@ -297,69 +284,6 @@ def depth_first(
     return bound
 
 
-def _echelon(rows: Iterable[tuple[int, int]]) -> dict[int, tuple[int, int]] | None:
-    """A GF(2) system in echelon form, or None if it has no solution.
-
-    Value +1 is bit 0 and -1 is bit 1.  Each row (vertex mask, rhs) asks
-    that the bits of its vertices add up to rhs.  Gaussian elimination
-    reduces each row on its highest vertex until that vertex is no other
-    row's pivot, and keeps it under that pivot.  A row that reduces to 0
-    with rhs 1 is a contradiction.
-    """
-    pivots: dict[int, tuple[int, int]] = {}
-    for row, rhs in rows:
-        while row:
-            top = row.bit_length() - 1
-            if top not in pivots:
-                pivots[top] = (row, rhs)
-                break
-            pivot_row, pivot_rhs = pivots[top]
-            row ^= pivot_row
-            rhs ^= pivot_rhs
-        else:
-            if rhs:
-                return None
-    return pivots
-
-
-def _solutions(n_vertices: int, pivots: dict[int, tuple[int, int]]) -> tuple[ValueAssignment, ...]:
-    """Every solution of an echelon form from ``_echelon``, in lexicographic order.
-
-    Every row's other vertices lie below its pivot, so walking the vertices
-    from 0 upward a free vertex takes +1 and then -1, and a pivot is forced
-    by the vertices already assigned: no branch dies.  The walk keeps each
-    partial assignment as a bit mask, and ``CHUNK_ROWS`` masks at a time
-    become ±1 tuples, so no full-length vertex column is ever built.
-    """
-    masks = [0]
-    for v in range(n_vertices):
-        bit = 1 << v
-        if v in pivots:
-            row, rhs = pivots[v]
-            masks = [x | bit if (row & x).bit_count() & 1 != rhs else x for x in masks]
-        else:
-            # each mask, then the same mask with v at -1
-            doubled = masks * 2
-            doubled[::2] = masks
-            doubled[1::2] = [x | bit for x in masks]
-            masks = doubled
-    rows: list[ValueAssignment] = []
-    for start in range(0, len(masks), CHUNK_ROWS):
-        chunk = masks[start : start + CHUNK_ROWS]
-        rows += zip(*[[-1 if x >> v & 1 else 1 for x in chunk] for v in range(n_vertices)])
-    return tuple(rows) if n_vertices else ((),)
-
-
-def _first_solution(n_vertices: int, pivots: dict[int, tuple[int, int]]) -> ValueAssignment:
-    """The first solution ``_solutions`` lists: every free vertex at +1."""
-    x = 0
-    for v in sorted(pivots):
-        row, rhs = pivots[v]
-        if (row & x).bit_count() & 1 != rhs:
-            x |= 1 << v
-    return tuple(-1 if x >> v & 1 else 1 for v in range(n_vertices))
-
-
 def search_assignments(graph: KSGraph, cap: int = SEARCH_CAP) -> TheoremVerdict:
     """Every FUNC-respecting assignment, by solving the parity system.
 
@@ -369,8 +293,8 @@ def search_assignments(graph: KSGraph, cap: int = SEARCH_CAP) -> TheoremVerdict:
     """
     check_cap(graph.n_vertices, cap)
     edges = zip(graph.hyperedges, graph.edge_signs)
-    pivots = _echelon((sum(1 << v for v in edge), int(sign < 0)) for edge, sign in edges)
-    witnesses = () if pivots is None else _solutions(graph.n_vertices, pivots)
+    rows = ((sum(1 << v for v in edge), int(sign < 0)) for edge, sign in edges)
+    witnesses = parity.solutions(graph.n_vertices, rows)
     return TheoremVerdict(
         satisfiable=bool(witnesses),
         witnesses=witnesses,

@@ -12,7 +12,7 @@ and responses carry no preparation argument (lambda-sufficiency).
 The existence search ranges over deterministic outcome assignments to the
 basic measurements only; noncontextual value-definite responses factorize,
 so nothing more general can exist.  Parity supports make a GF(2) system for
-``graph._echelon``; any others get one ``graph.depth_first`` pass, which
+``parity``; any others get one ``graph.depth_first`` pass, which
 checks each support once its members have values: ``search_states`` and
 ``min_violation_fraction`` branch-and-bound the number of violated joints
 until an assignment violates none, and the latter stops there;
@@ -26,9 +26,10 @@ from math import prod
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import NotTwoValuedError
-from .graph import SEARCH_CAP, _echelon, _first_solution, _solutions, check_cap, depth_first
+from .graph import SEARCH_CAP, check_cap, depth_first
 from .operational import KNOWN_TOL, Family, Joint, Measurement, OperationalTheory
 from .operational import differs, distribution_problem, is_nondisturbing, support
+from .parity import first_solution, least_violated, solutions
 
 
 class OntologicalModel:
@@ -341,9 +342,8 @@ def _parity_search(
     """``(models, least number of joints violated)`` by GF(2) elimination, or
     None unless every support is one parity class of its members' outcome
     bits (bit 1 for a basic's second outcome label): then each joint is a row.
-    A consistent system lists its models as ``graph._solutions`` does; for an
-    inconsistent one the least is the least weight over b + Im(A), b the
-    classes and A the joint-by-basic incidence matrix, found in 2^rank cases."""
+    A consistent system lists its models as ``verify`` lists witnesses; for an
+    inconsistent one the least is ``parity.least_violated``."""
     outcomes = [m.outcome_labels for m in basics]
     rows = []
     for positions, allowed in constraints:
@@ -352,25 +352,14 @@ def _parity_search(
             return None
         rows.append((sum(1 << p for p in positions), classes.pop()))
     n = len(basics)
-    pivots = _echelon(rows)
-    if pivots is not None:
-        found = [_first_solution(n, pivots)] if first_only else _solutions(n, pivots)
+    if first_only:
+        first = first_solution(n, rows)
+        found = () if first is None else (first,)
+    else:
+        found = solutions(n, rows)
+    if found:
         return [tuple(labels[s < 0] for labels, s in zip(outcomes, row)) for row in found], 0
-    if not minimize:
-        return [], None
-    # column v: the joints that flipping basic v moves in or out of its class
-    columns = (sum(1 << j for j, (mask, _) in enumerate(rows) if mask >> v & 1) for v in range(n))
-    basis = [column for column, _ in _echelon((c, 0) for c in columns).values()]
-    # the sums of the first ten basis vectors are tabled, the rest Gray-walked
-    table = [0]
-    for column in basis[:10]:
-        table += [x ^ column for x in table]
-    violated, best = sum(rhs << j for j, (_, rhs) in enumerate(rows)), len(rows)
-    for i in range(1 << len(basis[10:])):
-        if i:
-            violated ^= basis[9 + (i & -i).bit_length()]
-        best = min(best, *map(int.bit_count, map(violated.__xor__, table)))
-    return [], best
+    return [], least_violated(n, rows) if minimize else None
 
 
 def search_states(theory: OperationalTheory, cap: int = SEARCH_CAP) -> tuple[list[str], Fraction]:

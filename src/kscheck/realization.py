@@ -22,8 +22,9 @@ from operator import and_
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import BadArgumentError, CapExceededError
-from .graph import SEARCH_CAP, KSGraph, _bits, _echelon, _first_solution, _maximal_cliques, check_cap
+from .graph import SEARCH_CAP, KSGraph, _maximal_cliques, check_cap
 from .operational import Realization, differs, quantum_joints
+from .parity import bits, first_solution
 from .pauli import all_commute, commutation_masks
 from .values import Frozen
 
@@ -180,16 +181,16 @@ def commuting_realization(
     masks = commutation_masks(graph.operators)
     # per label: the vertices it realizes, and those commuting with all of them
     realized = [sum(1 << v for v, a in enumerate(normalized) if label in a) for label in labels]
-    near = [reduce(and_, map(masks.__getitem__, _bits(vertices))) for vertices in realized]
+    near = [reduce(and_, map(masks.__getitem__, bits(vertices))) for vertices in realized]
     for label, vertices, common in zip(labels, realized, near):
         if vertices & ~common:
-            members = list(_bits(vertices))
+            members = list(bits(vertices))
             raise ValueError(f"measurement {label} realizes non-commuting vertices {members}")
     adjacency = [
         sum(1 << j for j, other in enumerate(realized) if j != i and not other & ~common)
         for i, common in enumerate(near)
     ]
-    cliques = [[labels[i] for i in _bits(clique)] for clique in _maximal_cliques(adjacency)]
+    cliques = [[labels[i] for i in bits(clique)] for clique in _maximal_cliques(adjacency)]
     return Realization.build(normalized, cliques)
 
 
@@ -407,7 +408,7 @@ def run_type2_argument(
     tuples meeting its multiplicative relations (``edge_relations``), as
     the always preparable maximally mixed state allows.  (3) Solve over
     GF(2) with one unit row per pinned vertex and one row per relation of
-    every other edge; the witness is the first solution (+1 before -1).
+    every other edge; the witness is ``parity.first_solution`` (+1 before -1).
     UNSAT means the argument succeeds.
 
     ``eigenstate_tuple`` defaults to all +1, with the last value -1 when
@@ -447,7 +448,7 @@ def run_type2_argument(
         # edge_relations puts operator k at bit m-1-k of a subset
         members = graph.hyperedges[e_idx][::-1]
         for subset, bit in edge_relations(graph.edge_operators(e_idx)):
-            yield sum(1 << members[k] for k in _bits(subset)), bit
+            yield sum(1 << members[k] for k in bits(subset)), bit
 
     eigenstate_verified = False
     if not flip_sign:
@@ -459,7 +460,7 @@ def run_type2_argument(
         ]
         if broken:
             row, bit = min(broken)
-            names = "*".join(graph.vertices[v][0] for v in _bits(row))
+            names = "*".join(graph.vertices[v][0] for v in bits(row))
             raise BadArgumentError(
                 f"tuple {pinned} breaks the pinned edge's relation "
                 f"{names} = {'-' if bit else '+'}I: no state gives these outcomes"
@@ -476,12 +477,12 @@ def run_type2_argument(
     for e_idx in range(len(graph.hyperedges)):
         if e_idx != pinned_edge:
             rows.extend(relation_rows(e_idx))
-    pivots = _echelon(rows)
+    witness = first_solution(graph.n_vertices, rows)
     return Type2Result(
-        satisfiable=pivots is not None,
+        satisfiable=witness is not None,
         pinned_edge=pinned_edge,
         pinned_tuple=pinned,
         eigenstate_verified=eigenstate_verified,
-        witness=None if pivots is None else _first_solution(graph.n_vertices, pivots),
+        witness=witness,
         sign_flipped=flip_sign,
     )

@@ -17,8 +17,8 @@ import pytest
 from kscheck import catalog, cli, errors, ontology
 from kscheck.catalog import CATALOG, GHZ_EDGES, GHZ_VERTICES, PM_EDGES, PM_VERTICES
 from kscheck.cli import Report, main
-from kscheck.graph import CHUNK_ROWS
 from kscheck.operational import OperationalTheory
+from kscheck.parity import CHUNK_ROWS
 from kscheck.scenario import Scenario
 from kscheck.scenario_json import parse_scenario, scenario_to_dict
 

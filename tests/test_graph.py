@@ -8,10 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kscheck import catalog
-from kscheck import graph as ks_graph
+from kscheck import parity
 from kscheck.errors import CapExceededError, InvalidGraphError
 from kscheck.graph import (
-    CHUNK_ROWS,
     KSGraph,
     admissible_tuples,
     build_graph,
@@ -20,6 +19,7 @@ from kscheck.graph import (
     parity_certificate,
     search_assignments,
 )
+from kscheck.parity import CHUNK_ROWS
 from kscheck.pauli import LETTERS, PauliString, Phase
 
 from dense_oracle import to_matrix
@@ -408,7 +408,7 @@ class TestParitySystem:
         words = ("ZII", "IZI", "IIZ", "ZZZ")
         vertices = [(f"{line}{k}", word) for line in "abcd" for k, word in enumerate(words)]
         graph = build_graph(vertices, [range(4 * line, 4 * line + 4) for line in range(4)])
-        monkeypatch.setattr(ks_graph, "CHUNK_ROWS", chunk)
+        monkeypatch.setattr(parity, "CHUNK_ROWS", chunk)
         witnesses = search_assignments(graph).witnesses
         assert len(witnesses) == 2**12 > 2 * CHUNK_ROWS
         assert list(witnesses) == depth_first_witnesses(graph)

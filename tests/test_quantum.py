@@ -8,8 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from kscheck import catalog, operational, quantum
-from kscheck import graph as ks_graph
+from kscheck import catalog, ontology, operational, quantum
 from kscheck.graph import KSGraph, admissible_tuples, build_graph
 from kscheck.ontology import min_violation_fraction
 from kscheck.operational import from_quantum
@@ -531,7 +530,8 @@ class TestPaddedPentagramKnownAnswer:
 
         monkeypatch.setattr(quantum, "joint_distribution", pinned_edge_only)
         monkeypatch.setattr(operational, "from_quantum", refuse)
-        monkeypatch.setattr(ks_graph, "depth_first", refuse)
+        monkeypatch.setattr(ontology, "depth_first", refuse)
+        monkeypatch.setattr(ontology, "_support_search", refuse)
         monkeypatch.setattr(DensityOperator, "maximally_mixed", refuse)
         result = run_type2_argument(graph, standard, (1, 1, 1, -1))
         assert result.satisfiable is False
