@@ -7,7 +7,13 @@ III, and a small uniqueness lemma controls the escape route of realizing
 a whole line by functions of one measurement.
 """
 
-from kscheck import classify_type, collapse_edge, enumerate_lemma_sweep, lemma_check
+from kscheck import (
+    build_graph,
+    classify_type,
+    collapse_edge,
+    lemma_check,
+    lemma_pivots,
+)
 from kscheck.catalog import (
     PM_COLUMN_3,
     ghz_graph,
@@ -17,6 +23,7 @@ from kscheck.catalog import (
     pm_hyperedge_realization,
     pm_spin_realization,
 )
+from kscheck.realization import commuting_realization
 
 
 def main():
@@ -47,11 +54,21 @@ def main():
           f"{check.all_edges_comeasurable}, unique: {check.unique}")
     print(f"  implication 'line-based & comeasurable => non-unique' holds: {check.holds}")
 
-    print("\nexhaustive sweep over collapse-structured realizations of the square")
-    sweep = enumerate_lemma_sweep(pm, pool_limit=12, assoc_limit=2)
-    print(f"  {sweep.n_realizations} realizations, {sweep.n_antecedent} satisfy the antecedent,")
-    print(f"  unique counterexamples: {sweep.n_antecedent_and_unique} "
-          f"(singleton reading: {sweep.n_antecedent_and_singly_associated})")
+    print("\nthe lemma on the whole square: a pivot for every line")
+    print("  (another line through one of its vertices, not commuting with it as a whole)")
+    for e, pivot in enumerate(lemma_pivots(pm)):
+        v, other = pivot
+        print(f"  {{{','.join(pm.edge_labels(e))}}}: at {pm.labels[v]} "
+              f"against {{{','.join(pm.edge_labels(other))}}}")
+
+    print("\na lone line has no pivot, so the lemma's singleton reading fails there:")
+    line = build_graph([("a", "ZI"), ("b", "IZ"), ("c", "ZZ")], [(0, 1, 2)])
+    print(f"  pivots: {lemma_pivots(line)}")
+    # collapse the line alone: here it holds every vertex, so one measurement realizes all
+    shared = commuting_realization(line, [{"m"}] * 3)
+    check = lemma_check(line, shared)
+    print(f"  one shared measurement: antecedent {check.antecedent}, "
+          f"singly associated {check.singly_associated}, holds_strict {check.holds_strict}")
 
 
 if __name__ == "__main__":

@@ -17,7 +17,8 @@ The package splits the job the way the arguments themselves do:
   vertex-measurement associations), probability tables, no-disturbance;
 - ``ontology``: ontic states, response functions, noncontextuality,
   statistics-equivalence (Spekkens) checks, model existence search;
-- ``realization``: argument types I/II/III, the uniqueness lemma, the
+- ``realization``: argument types I/II/III, the uniqueness lemma (per
+  realization, and on the graph by pivot certificates), the
   state-dependent pipeline;
 - ``catalog`` / ``scenario`` / ``scenario_json`` / ``cli``: built-ins, the
   scenarios a call reads, the JSON file form, and commands.
@@ -74,11 +75,11 @@ _HOME = {
     "ArgumentType": "realization",
     "classify_type": "realization",
     "collapse_edge": "realization",
-    "enumerate_lemma_sweep": "realization",
     "hyperedge_realization": "realization",
     "is_hyperedge_based": "realization",
     "is_unique": "realization",
     "lemma_check": "realization",
+    "lemma_pivots": "realization",
     "run_type2_argument": "realization",
 }
 

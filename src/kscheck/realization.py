@@ -11,25 +11,24 @@ the two are stipulated to coincide).
 Classification counts the hyperedges that fail to represent simultaneous
 measurements: none (type I), exactly one (type II, salvageable by
 preparing a common eigenstate of the failing edge), or more (type III).
+The uniqueness lemma is evaluated on one realization by ``lemma_check``
+and decided on the whole graph by ``lemma_pivots``, which names a pivot
+certificate for every edge that rules the lemma's counterexample out.
 """
 
 from __future__ import annotations
 
 from functools import reduce
-from itertools import product
 from math import prod
 from operator import and_
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import BadArgumentError, CapExceededError
+from .errors import BadArgumentError
 from .graph import SEARCH_CAP, KSGraph, _maximal_cliques, check_cap
 from .operational import Realization, differs, quantum_joints
 from .parity import bits, first_solution
 from .pauli import all_commute, commutation_masks
 from .values import Frozen
-
-SWEEP_POOL_LIMIT = 12
-SWEEP_ASSOC_LIMIT = 2
 
 
 def is_unique(realization: Realization) -> bool:
@@ -134,7 +133,8 @@ def lemma_check(graph: KSGraph, realization: Realization) -> LemmaCheck:
     ``holds_strict`` uses the singleton reading alone, which is what the
     underlying proof concludes for intersection vertices.  When the
     antecedent holds, ``witnesses`` lists the vertices of single-measurement
-    edges that also lie on a second edge (the proof's pivot vertices).
+    edges that also lie on a second edge (the proof's intersection
+    vertices).
     """
     based, based_edges = is_hyperedge_based(graph, realization)
     all_ok = all(
@@ -146,12 +146,12 @@ def lemma_check(graph: KSGraph, realization: Realization) -> LemmaCheck:
     singly = is_singly_associated(realization)
     witnesses: tuple[int, ...] = ()
     if antecedent:
-        pivot = []
+        crossing = []
         for e_idx in based_edges:
             for v in graph.hyperedges[e_idx]:
-                if graph.vertex_degree(v) >= 2 and v not in pivot:
-                    pivot.append(v)
-        witnesses = tuple(pivot)
+                if graph.vertex_degree(v) >= 2 and v not in crossing:
+                    crossing.append(v)
+        witnesses = tuple(crossing)
     return LemmaCheck(
         hyperedge_based=based,
         hyperedge_based_edges=based_edges,
@@ -162,6 +162,42 @@ def lemma_check(graph: KSGraph, realization: Realization) -> LemmaCheck:
         holds=not (antecedent and unique),
         holds_strict=not (antecedent and singly),
         witnesses=witnesses,
+    )
+
+
+def lemma_pivots(graph: KSGraph) -> tuple[tuple[int, int] | None, ...]:
+    """Each edge's first pivot, in edge order, or None for an edge with none.
+
+    A pivot of edge c is a pair (v, e'): a vertex v of c and another edge e'
+    through v whose union with c does not commute.  Vertices are scanned in
+    c's order, the edges through each in edge order.  Some singly-associated
+    realization with commuting comeasurable sets meets the lemma's
+    antecedent iff some edge has no pivot, so the singleton reading of the
+    lemma holds on the graph iff None is not in the result.
+
+    If c has no pivot, collapse c alone and give every other vertex a
+    private measurement: each edge meeting c needs its union with c to
+    commute, which it does, and every other edge commutes by itself.
+    Conversely, any collapsed edge of such a realization works alone,
+    because a subset of a commuting set commutes.
+    """
+    masks = commutation_masks(graph.operators)
+    edge_masks = [sum(1 << v for v in edge) for edge in graph.hyperedges]
+    through: list[list[int]] = [[] for _ in range(graph.n_vertices)]
+    for e, edge in enumerate(graph.hyperedges):
+        for v in edge:
+            through[v].append(e)
+    return tuple(
+        next(
+            (
+                (v, other)
+                for v in edge
+                for other in through[v]
+                if other != c and not all_commute(masks, edge_masks[c] | edge_masks[other])
+            ),
+            None,
+        )
+        for c, edge in enumerate(graph.hyperedges)
     )
 
 
@@ -253,132 +289,6 @@ def collapse_edge(
     new = Realization.build(assoc, realization.comeasurable.maximal, tags)
     multi = tuple(v for v in edge if len(new.assoc[v]) >= 2)
     return CollapseResult(realization=new, label=label, multi_associated=multi)
-
-
-# -- exhaustive Lemma sweep ----------------------------------------------------
-
-
-class SweepReport(NamedTuple):
-    n_realizations: int
-    n_hyperedge_based: int
-    n_antecedent: int
-    n_antecedent_and_unique: int
-    n_antecedent_and_singly_associated: int
-    collapse_patterns: int
-    pool_limit: int
-    assoc_limit: int
-
-    @property
-    def lemma_confirmed(self) -> bool:
-        return (
-            self.n_antecedent_and_unique == 0
-            and self.n_antecedent_and_singly_associated == 0
-        )
-
-
-def enumerate_lemma_sweep(
-    graph: KSGraph,
-    pool_limit: int = SWEEP_POOL_LIMIT,
-    assoc_limit: int = SWEEP_ASSOC_LIMIT,
-) -> SweepReport:
-    """Exhaust collapse-structured realizations with comeasurable set equal
-    to commuting, and count Lemma counterexamples (there must be none).
-
-    The domain: choose a subset of edges to collapse onto fresh shared
-    measurements; vertices on no collapsed edge get a private measurement;
-    vertices on exactly one collapsed edge optionally keep a private
-    measurement as well (association size stays within ``assoc_limit``).
-    Realizations needing more than ``pool_limit`` distinct measurements are
-    skipped.  Comeasurability is induced: a measurement set is comeasurable
-    iff the union of realized vertices is mutually commuting.
-    """
-    n = graph.n_vertices
-    edges = graph.hyperedges
-    if n > 12 or len(edges) > 10:
-        raise CapExceededError("lemma sweep is sized for PM-scale graphs")
-
-    masks = commutation_masks(graph.operators)
-    edge_masks = [sum(1 << v for v in edge) for edge in edges]
-
-    n_realizations = 0
-    n_based = 0
-    n_antecedent = 0
-    n_antecedent_unique = 0
-    n_antecedent_singly = 0
-    patterns = 0
-
-    for pattern in range(1 << len(edges)):
-        collapsed = [e for e in range(len(edges)) if pattern >> e & 1]
-        patterns += 1
-        cover = [0] * n
-        for e in collapsed:
-            for v in edges[e]:
-                cover[v] += 1
-        if any(c > assoc_limit for c in cover):
-            continue
-        # vertices free to carry an extra private measurement
-        optional = [v for v in range(n) if cover[v] == 1] if assoc_limit >= 2 else []
-        forced_private = [v for v in range(n) if cover[v] == 0]
-
-        for extras in range(1 << len(optional)):
-            private = set(forced_private)
-            private.update(
-                optional[k] for k in range(len(optional)) if extras >> k & 1
-            )
-            pool = len(collapsed) + len(private)
-            if pool > pool_limit:
-                continue
-            n_realizations += 1
-
-            # measurement -> realized vertex mask
-            meas_masks = [edge_masks[e] for e in collapsed] + [
-                1 << v for v in sorted(private)
-            ]
-            # per-vertex options as indices into meas_masks
-            options: list[list[int]] = [[] for _ in range(n)]
-            for m_idx, e in enumerate(collapsed):
-                for v in edges[e]:
-                    options[v].append(m_idx)
-            for k, v in enumerate(sorted(private)):
-                options[v].append(len(collapsed) + k)
-
-            based = bool(collapsed)
-            if based:
-                n_based += 1
-
-            all_comeasurable = True
-            for e_idx, edge in enumerate(edges):
-                edge_ok = False
-                for selection in product(*(options[v] for v in edge)):
-                    union = 0
-                    for m_idx in set(selection):
-                        union |= meas_masks[m_idx]
-                    if all_commute(masks, union):
-                        edge_ok = True
-                        break
-                if not edge_ok:
-                    all_comeasurable = False
-                    break
-
-            if based and all_comeasurable:
-                n_antecedent += 1
-                singly = all(len(o) == 1 for o in options)
-                if singly:
-                    n_antecedent_singly += 1
-                    used = [o[0] for o in options]
-                    if len(set(used)) == n:
-                        n_antecedent_unique += 1
-
-    return SweepReport(
-        n_realizations=n_realizations,
-        n_hyperedge_based=n_based,
-        n_antecedent=n_antecedent,
-        n_antecedent_and_unique=n_antecedent_unique,
-        n_antecedent_and_singly_associated=n_antecedent_singly,
-        collapse_patterns=patterns,
-        pool_limit=pool_limit,
-        assoc_limit=assoc_limit,
-    )
 
 
 # -- the state-dependent (type II) pipeline -------------------------------------

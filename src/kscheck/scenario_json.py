@@ -20,6 +20,7 @@ from typing import TYPE_CHECKING, Any, Callable
 
 from .errors import InvalidGraphError, ScenarioParseError
 from .graph import KSGraph, build_graph
+from .pauli import PauliString
 from .scenario import LazyBlocks, RepeatedKey, Scenario, _fail
 
 # Each block parser imports the module its block needs, so a call loads only
@@ -120,18 +121,17 @@ def _parse_graph(doc: dict, path: str) -> KSGraph:
     for item, vpath in _items(doc["vertices"], "'vertices'", f"{path}.vertices", nonempty=True):
         item = _object(item, "vertex", vpath, ("label", "operator"))
         label = _label(item["label"], "vertex label", f"{vpath}.label")
-        vertices.append((label, str(item["operator"])))
+        word = _label(item["operator"], "vertex operator", f"{vpath}.operator")
+        try:
+            vertices.append((label, PauliString.parse(word)))
+        except ValueError as exc:
+            _fail(str(exc), f"{vpath}.operator")
     hyperedges = doc.get("hyperedges")
     if hyperedges is not None:
         for edge, epath in _items(hyperedges, "'hyperedges'", f"{path}.hyperedges"):
             if not isinstance(edge, list) or not all(type(v) is int for v in edge):
                 _fail("edge must be a list of vertex indices", epath)
-    try:
-        graph = build_graph(vertices, hyperedges)
-    except InvalidGraphError:
-        raise  # structural graph problems keep their own error class
-    except ValueError as exc:
-        _fail(str(exc), f"{path}.vertices")
+    graph = build_graph(vertices, hyperedges)
     declared = doc.get("edge_signs")
     if declared is not None:
         if not isinstance(declared, list) or not all(type(s) is int for s in declared):

@@ -26,13 +26,10 @@ from kscheck.ontology import (
 from kscheck.operational import is_nondisturbing
 from kscheck.pauli import LETTERS, PauliString, Phase, edge_product
 from kscheck.quantum import born_probability, support_table
-from kscheck.realization import (
-    classify_type,
-    enumerate_lemma_sweep,
-    run_type2_argument,
-)
+from kscheck.realization import classify_type, lemma_pivots, run_type2_argument
 
 from dense_oracle import joint_projection, state_from_projection, to_matrix
+from lemma_oracle import enumerate_lemma_sweep
 
 
 def report(number: int, description: str):
@@ -161,6 +158,7 @@ def test_criterion_09_lemma_sweep():
     assert sweep.n_antecedent > 0
     assert sweep.n_antecedent_and_unique == 0
     assert sweep.n_antecedent_and_singly_associated == 0
+    assert None not in lemma_pivots(catalog.peres_mermin_graph())
     report(
         9,
         f"lemma sweep: {sweep.n_realizations} realizations, "

@@ -1118,6 +1118,9 @@ def _mutate(doc, path, value):
          "$.models.m1.preparations.r1.bb"),
         # a repeated preparation label, refused like a repeated basic label
         (("tables", "preparations"), ["r1", "r2", "r1"], "$.tables"),
+        # an operator is a JSON string, and a bad word fails at its own vertex
+        (("vertices", 0, "operator"), ["ZI"], "$.vertices[0].operator"),
+        (("vertices", 1, "operator"), "IQ", "$.vertices[1].operator"),
     ],
 )
 def test_mistyped_box_blocks_exit_two(capsys, tmp_path, where, value, expected_path):

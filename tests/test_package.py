@@ -36,7 +36,6 @@ PUBLIC_NAMES = [
     "derive_hyperedges",
     "edge_product",
     "eigenstate_preparations",
-    "enumerate_lemma_sweep",
     "factorizes",
     "from_quantum",
     "hyperedge_realization",
@@ -48,6 +47,7 @@ PUBLIC_NAMES = [
     "is_value_definite",
     "joint_born_probability",
     "lemma_check",
+    "lemma_pivots",
     "marginal",
     "min_violation_fraction",
     "multiply",

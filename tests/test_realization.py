@@ -1,31 +1,35 @@
 """Realizations: uniqueness, argument types, the lemma, collapse, type II."""
 
-from itertools import product
+from itertools import combinations, product
 from math import prod
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kscheck import catalog
 from kscheck.errors import BadArgumentError
 from kscheck.graph import admissible_tuples, build_graph
 from kscheck.operational import OUTCOME_MINUS, OUTCOME_PLUS, from_quantum, support
+from kscheck.pauli import PauliString, all_commute, commutation_masks
 from kscheck.quantum import edge_relations, support_table
 from kscheck.realization import (
     Realization,
     classify_type,
     collapse_edge,
     commuting_realization,
-    enumerate_lemma_sweep,
     hyperedge_realization,
     is_hyperedge_based,
     is_singly_associated,
     is_unique,
     lemma_check,
+    lemma_pivots,
     run_type2_argument,
 )
 from kscheck.state import DensityOperator
 
 from dense_oracle import joint_projection, state_from_projection
+from lemma_oracle import enumerate_lemma_sweep
 
 
 class TestUniqueness:
@@ -151,6 +155,98 @@ class TestLemmaSweep:
         # the all-collapsed singleton realization is the one known case
         # where the weaker single-association reading fires
         assert report.n_antecedent_and_singly_associated == 1
+
+
+def lines(n_qubits):
+    """Every line {a, b, ab} of pairwise commuting non-identity words on
+    n_qubits, as sorted letter triples."""
+    words = [PauliString.parse("".join(w)) for w in product("IXYZ", repeat=n_qubits)][1:]
+    return sorted({
+        tuple(sorted((a.letters, b.letters, (a * b).letters)))
+        for a, b in combinations(words, 2)
+        if a.commutes(b)
+    })
+
+
+def line_graph(chosen):
+    """The graph whose edges are the chosen lines, on the words they hold."""
+    words = sorted({word for line in chosen for word in line})
+    index = {word: i for i, word in enumerate(words)}
+    return build_graph([(w, w) for w in words], [[index[w] for w in line] for line in chosen])
+
+
+LINES = {n: lines(n) for n in (2, 3)}
+
+
+@st.composite
+def line_graphs(draw):
+    """Up to four lines of two or three qubits: at most 12 vertices and 4
+    edges, within the sweep's caps."""
+    chosen = draw(st.lists(st.sampled_from(LINES[draw(st.sampled_from((2, 3)))]),
+                           min_size=1, max_size=4, unique=True))
+    return line_graph(chosen)
+
+
+def check_certificates(graph, pivots):
+    """Each pivot (v, e') has v on both edges and a non-commuting union;
+    each pivot-free edge, collapsed alone with every other vertex on a
+    private measurement, meets the antecedent singly associated."""
+    masks = commutation_masks(graph.operators)
+    assert len(pivots) == len(graph.hyperedges)
+    for c, pivot in enumerate(pivots):
+        edge = graph.hyperedges[c]
+        if pivot is not None:
+            v, other = pivot
+            assert other != c and v in edge and v in graph.hyperedges[other]
+            union = sum(1 << u for u in set(edge) | set(graph.hyperedges[other]))
+            assert not all_commute(masks, union)
+        else:
+            assoc = [{"shared"} if v in edge else {f"m{v}"} for v in range(graph.n_vertices)]
+            check = lemma_check(graph, commuting_realization(graph, assoc))
+            assert check.antecedent and check.singly_associated and not check.holds_strict
+
+
+class TestLemmaPivots:
+    def test_square_pivots(self, pm_graph):
+        # each row turns on the first column and each column on the first row
+        pivots = lemma_pivots(pm_graph)
+        assert pivots == ((0, 3), (3, 3), (6, 3), (0, 0), (1, 0), (2, 0))
+        check_certificates(pm_graph, pivots)
+
+    def test_every_pentagram_line_has_a_pivot(self, ghz_graph):
+        pivots = lemma_pivots(ghz_graph)
+        assert None not in pivots
+        check_certificates(ghz_graph, pivots)
+
+    def test_single_edge_has_none(self):
+        graph = build_graph([("a", "ZI"), ("b", "IZ"), ("c", "ZZ")], [(0, 1, 2)])
+        assert lemma_pivots(graph) == (None,)
+        check_certificates(graph, (None,))
+
+    def test_every_line_of_three_qubits_has_a_pivot(self):
+        # W(5,2): (4^3 - 1)(4^2 - 1)/3 lines, beyond the sweep's caps
+        assert len(LINES[3]) == (4**3 - 1) * (4**2 - 1) // 3 == 315
+        graph = line_graph(LINES[3])
+        pivots = lemma_pivots(graph)
+        assert None not in pivots
+        check_certificates(graph, pivots)
+
+    def test_matches_the_sweep(self):
+        answers = set()
+
+        @given(line_graphs())
+        @example(catalog.peres_mermin_graph())
+        @settings(max_examples=50, deadline=None)
+        def agree(graph):
+            pivots = lemma_pivots(graph)
+            report = enumerate_lemma_sweep(graph, pool_limit=graph.n_vertices, assoc_limit=2)
+            assert (report.n_antecedent_and_singly_associated > 0) == (None in pivots)
+            assert report.n_antecedent_and_unique == 0
+            check_certificates(graph, pivots)
+            answers.add(None in pivots)
+
+        agree()
+        assert answers == {False, True}
 
 
 class TestCommutingRealization:

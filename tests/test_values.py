@@ -20,12 +20,12 @@ from kscheck.realization import (
     CollapseResult,
     LemmaCheck,
     Realization,
-    SweepReport,
     Type2Result,
 )
 from kscheck.scenario import Scenario
 
 import dense_oracle
+from lemma_oracle import SweepReport
 
 
 def single_edge_graph():
