@@ -14,7 +14,8 @@ from kscheck import (
     min_violation_fraction,
     search_ncvd,
 )
-from kscheck.catalog import army_theory, box_m1, box_m2, box_m3, ghz_theory, pm_theory
+from kscheck.boxes import army_theory, box_m1, box_m2, box_m3
+from kscheck.catalog import ghz_theory, pm_theory
 
 
 def main():

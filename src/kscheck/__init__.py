@@ -6,9 +6,8 @@ The package splits the job the way the arguments themselves do:
   bitmasks;
 - ``parity``: linear systems over GF(2), the one solver behind every
   parity argument;
-- ``graph``: hypergraphs of commuting observables, the one depth-first
-  constraint search, and FUNC value assignments as a ``parity`` system,
-  with parity certificates;
+- ``graph``: hypergraphs of commuting observables, and FUNC value
+  assignments as a ``parity`` system, with parity certificates;
 - ``state``: density operators, exact (integer numerators, validated
   exactly) or floating point;
 - ``quantum``: Born-rule probabilities, support tables and common
@@ -16,12 +15,14 @@ The package splits the job the way the arguments themselves do:
 - ``operational``: measurements, comeasurability, realizations (the
   vertex-measurement associations), probability tables, no-disturbance;
 - ``ontology``: ontic states, response functions, noncontextuality,
-  statistics-equivalence (Spekkens) checks, model existence search;
+  statistics-equivalence (Spekkens) checks, model existence search, and
+  the one depth-first constraint search;
 - ``realization``: argument types I/II/III, the uniqueness lemma (per
   realization, and on the graph by pivot certificates), the
   state-dependent pipeline;
-- ``catalog`` / ``scenario`` / ``scenario_json`` / ``cli``: built-ins, the
-  scenarios a call reads, the JSON file form, and commands.
+- ``catalog`` / ``boxes`` / ``scenario`` / ``scenario_json`` / ``cli``:
+  built-ins (the graph ones, and the box and army tables), the scenarios a
+  call reads, the JSON file form, and commands.
 
 The names in ``__all__`` load their module on first use (PEP 562), so
 ``import kscheck`` loads no submodule and a command loads only the modules

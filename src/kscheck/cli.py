@@ -2,26 +2,27 @@
 
 Verbs: verify, classify, search-model, ghz, robustness, catalog.  Every
 command is deterministic given the same inputs; ``--json`` switches the
-report to a machine-readable document that round-trips.  Exit codes:
-0 success-with-verdict, 2 parse error, 3 invalid graph, 4 missing block,
-5 cap exceeded, 6 bad argument.  ``main`` returns the exit code; ``run``,
+report to a machine-readable document that round-trips.  ``VERBS`` gives
+each verb's command and options, and ``parse_args`` reads the command line
+by it.  Exit codes: 0 success-with-verdict, 2 parse or usage error,
+3 invalid graph, 4 missing block, 5 cap exceeded, 6 bad argument.  ``main``
+returns the exit code; ``run``,
 the ``kscheck`` command and ``python -m kscheck.cli``, ends the process
 with it once the output is flushed.
 """
 
 from __future__ import annotations
 
-import argparse
 import io
 import json
 import os
 import sys
 import time
 from itertools import chain
-from typing import TYPE_CHECKING
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Callable, NamedTuple, NoReturn
 
-from .errors import BadArgumentError, KSCheckError, MissingBlockError
-from .graph import SEARCH_CAP
+from .errors import SEARCH_CAP, BadArgumentError, KSCheckError, MissingBlockError
 from .parity import CHUNK_ROWS
 from .scenario import Scenario, load_scenario
 from .values import Value
@@ -411,78 +412,137 @@ def cmd_catalog(args) -> Report:
     return report
 
 
-# -- argument parsing -------------------------------------------------------------
+# -- argument reading -------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="machine-readable report")
-    searching = argparse.ArgumentParser(add_help=False, parents=[common])
-    searching.add_argument(
-        "--cap",
-        type=int,
-        default=SEARCH_CAP,
-        help="vertex/measurement cap for exhaustive searches",
-    )
+class Verb(NamedTuple):
+    """A verb's command, its one positional argument (optional when not
+    ``required``), its options with their defaults, and its help line.  An
+    option whose default is False is a flag; every other one takes a value,
+    read as an integer for ``--cap``."""
 
-    parser = argparse.ArgumentParser(
-        prog="kscheck",
-        description="exhaustive verification of contextuality no-go scenarios",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("verify", parents=[searching], help="value-assignment search")
-    p.add_argument("scenario", help="builtin name or scenario file")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("classify", parents=[common], help="argument type I/II/III")
-    p.add_argument("scenario")
-    p.add_argument("--realization", default=None)
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser(
-        "search-model", parents=[searching], help="noncontextual value-definite model search"
-    )
-    p.add_argument("scenario")
-    p.add_argument("--realization", default=None)
-    p.set_defaults(func=cmd_search_model)
-
-    p = sub.add_parser("ghz", parents=[searching], help="state-dependent type II pipeline")
-    p.add_argument("scenario")
-    p.add_argument("--realization", default="standard")
-    p.add_argument("--tuple", default=None, help="pinned eigenvalue tuple, e.g. +1,+1,+1,-1")
-    p.add_argument("--flip-sign", action="store_true", help="sanity control with inverted sign")
-    p.set_defaults(func=cmd_ghz)
-
-    p = sub.add_parser(
-        "robustness", parents=[searching], help="minimum support-violation fraction"
-    )
-    p.add_argument("scenario")
-    p.add_argument("--realization", default=None)
-    p.set_defaults(func=cmd_robustness)
-
-    p = sub.add_parser("catalog", parents=[common], help="list built-in scenarios")
-    p.add_argument("name", nargs="?", default=None)
-    p.set_defaults(func=cmd_catalog)
-
-    return parser
+    func: Callable[..., Report]
+    positional: str
+    required: bool
+    options: dict[str, object]
+    summary: str
 
 
-def _fold_tuple(argv: list[str]) -> list[str]:
-    """``--tuple VALUE`` as ``--tuple=VALUE``, so that a value with a
-    leading minus (``-1,+1,+1,+1``) is not read as an option."""
-    folded: list[str] = []
-    for arg in argv:
-        if folded and folded[-1] == "--tuple" and not arg.startswith("--"):
-            folded[-1] = f"--tuple={arg}"
-        else:
-            folded.append(arg)
-    return folded
+_SEARCHING = {"--json": False, "--cap": SEARCH_CAP}
+
+VERBS = {
+    "verify": Verb(cmd_verify, "scenario", True, _SEARCHING, "value-assignment search"),
+    "classify": Verb(
+        cmd_classify, "scenario", True, {"--json": False, "--realization": None},
+        "argument type I/II/III",
+    ),
+    "search-model": Verb(
+        cmd_search_model, "scenario", True, {**_SEARCHING, "--realization": None},
+        "noncontextual value-definite model search",
+    ),
+    "ghz": Verb(
+        cmd_ghz, "scenario", True,
+        {**_SEARCHING, "--realization": "standard", "--tuple": None, "--flip-sign": False},
+        "state-dependent type II pipeline",
+    ),
+    "robustness": Verb(
+        cmd_robustness, "scenario", True, {**_SEARCHING, "--realization": None},
+        "minimum support-violation fraction",
+    ),
+    "catalog": Verb(cmd_catalog, "name", False, {"--json": False}, "list built-in scenarios"),
+}
+
+
+def _usage(verb: str | None) -> str:
+    if verb is None:
+        return "usage: kscheck [-h] {" + ",".join(VERBS) + "} ..."
+    spec = VERBS[verb]
+    words = ["usage: kscheck", verb, "[-h]"]
+    for option, default in spec.options.items():
+        meta = option[2:].upper().replace("-", "_")
+        words.append(f"[{option}]" if default is False else f"[{option} {meta}]")
+    words.append(spec.positional if spec.required else f"[{spec.positional}]")
+    return " ".join(words)
+
+
+def _refuse(verb: str | None, message: str) -> NoReturn:
+    print(f"{_usage(verb)}\nkscheck: error: {message}", file=sys.stderr)
+    raise SystemExit(EXIT_PARSE)
+
+
+def _help(verb: str | None) -> NoReturn:
+    if verb is None:
+        about = ["exhaustive verification of contextuality no-go scenarios", ""]
+        about += [f"  {name:<13} {spec.summary}" for name, spec in VERBS.items()]
+    else:
+        about = [VERBS[verb].summary]
+    print("\n".join([_usage(verb), "", *about]))
+    raise SystemExit(EXIT_OK)
+
+
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """The namespace ``args.func(args)`` takes: ``command`` and ``func``, the
+    verb's positional, and each of its options under its name without the
+    dashes (``flip_sign``), its default when absent.  Options are spelled in
+    full, as ``--opt VALUE`` or ``--opt=VALUE``; a value is the next token
+    unless that starts with ``--``, so ``--tuple -1,+1,+1,+1`` and
+    ``--cap -1`` read as values.  After ``--`` every token is positional.
+    A usage error prints the usage and the error on stderr and exits 2;
+    ``-h`` or ``--help`` prints the help on stdout and exits 0."""
+    if not argv:
+        _refuse(None, "the following arguments are required: command")
+    verb, rest = argv[0], argv[1:]
+    if verb in ("-h", "--help"):
+        _help(None)
+    spec = VERBS.get(verb)
+    if spec is None:
+        _refuse(None, f"argument command: invalid choice: {verb!r} (choose from {', '.join(VERBS)})")
+    values = {option[2:].replace("-", "_"): default for option, default in spec.options.items()}
+    positionals: list[str] = []
+    unknown: list[str] = []
+    i = 0
+    while i < len(rest):
+        token = rest[i]
+        i += 1
+        if token == "--":
+            positionals += rest[i:]
+            break
+        if not token.startswith("-") or token == "-":
+            positionals.append(token)
+            continue
+        if token in ("-h", "--help"):
+            _help(verb)
+        option, explicit, value = token.partition("=")
+        if option not in spec.options:
+            unknown.append(token)
+            continue
+        key = option[2:].replace("-", "_")
+        if spec.options[option] is False:
+            if explicit:
+                _refuse(verb, f"argument {option}: ignored explicit argument {value!r}")
+            values[key] = True
+            continue
+        if not explicit:
+            if i == len(rest) or rest[i].startswith("--"):
+                _refuse(verb, f"argument {option}: expected one argument")
+            value = rest[i]
+            i += 1
+        if option == "--cap":
+            try:
+                value = int(value)
+            except ValueError:
+                _refuse(verb, f"argument --cap: invalid int value: {value!r}")
+        values[key] = value
+    if spec.required and not positionals:
+        _refuse(verb, f"the following arguments are required: {spec.positional}")
+    if unknown or len(positionals) > 1:
+        _refuse(verb, "unrecognized arguments: " + " ".join(unknown + positionals[1:]))
+    values[spec.positional] = positionals[0] if positionals else None
+    return SimpleNamespace(command=verb, func=spec.func, **values)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_fold_tuple(sys.argv[1:] if argv is None else argv))
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         report = args.func(args)
     except KSCheckError as exc:

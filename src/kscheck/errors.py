@@ -2,7 +2,8 @@
 
 Each subclass carries its CLI exit code (one of ``cli.EXIT_*``) and the
 prefix of its stderr line, so commands can be scripted against without
-parsing messages.
+parsing messages.  ``check_cap`` is the one check of ``SEARCH_CAP`` (or a
+caller's cap) that every exhaustive search makes before it starts.
 """
 
 
@@ -36,6 +37,16 @@ class CapExceededError(KSCheckError):
     """An exhaustive search was requested beyond its configured cap."""
 
     exit_code, prefix = 5, "cap exceeded"
+
+
+# Most variables (vertices or basic measurements) an exhaustive search takes.
+SEARCH_CAP = 24
+
+
+def check_cap(n_variables: int, cap: int) -> None:
+    """Refuse a search over more than ``cap`` variables."""
+    if n_variables > cap:
+        raise CapExceededError(f"{n_variables} search variables exceed the cap of {cap}")
 
 
 class MissingBlockError(KSCheckError):

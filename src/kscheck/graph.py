@@ -4,26 +4,19 @@ Vertices carry self-adjoint Pauli words; hyperedges are mutually commuting
 subsets whose ordered product is a signed identity.  A value assignment
 puts ±1 on every vertex; it is admissible when the values on every edge
 multiply to that edge's sign: one row each of a GF(2) system, which
-``search_assignments`` solves with ``parity``.  ``depth_first`` is the
-package's one search over general constraints, a depth-first
-table-constraint search with branch and bound: ``ontology``'s searches run
-on it when some support is not a parity class.
+``search_assignments`` solves with ``parity``.
 """
 
 from __future__ import annotations
 
 from itertools import product
 from math import prod
-from operator import itemgetter
-from typing import Callable, Collection, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import parity, pauli
-from .errors import CapExceededError, InvalidGraphError
+from .errors import SEARCH_CAP, InvalidGraphError, check_cap
 from .pauli import PauliString
 from .values import Frozen
-
-# Most variables (vertices or basic measurements) an exhaustive search takes.
-SEARCH_CAP = 24
 
 # A total assignment of ±1 values, aligned with the graph's vertex order.
 ValueAssignment = tuple[int, ...]
@@ -221,67 +214,6 @@ def admissible_tuples(graph: KSGraph, edge_index: int) -> tuple[tuple[int, ...],
     sign = graph.edge_signs[edge_index]
     combos = product((1, -1), repeat=len(graph.hyperedges[edge_index]))
     return tuple(combo for combo in combos if prod(combo) == sign)
-
-
-def check_cap(n_variables: int, cap: int) -> None:
-    """Refuse a search over more than ``cap`` variables."""
-    if n_variables > cap:
-        raise CapExceededError(f"{n_variables} search variables exceed the cap of {cap}")
-
-
-def depth_first(
-    domains: Sequence[Sequence],
-    constraints: Iterable[tuple[Sequence[int], Collection[tuple]]],
-    bound: int,
-    leaf: Callable[[tuple, int], int],
-    cap: int = SEARCH_CAP,
-) -> int:
-    """Depth-first search over assignments of ``domains[d]`` to variable d.
-
-    Variables get values in index order, each trying its domain in order,
-    so leaves come in ``itertools.product`` order.  A constraint
-    ``(positions, allowed)`` is violated when the values at ``positions``,
-    read in that order, form a tuple outside ``allowed``; it is checked when
-    its highest position gets a value.  A branch is cut as soon as its number
-    of violated constraints reaches ``bound`` (at least 1 to start with).
-    ``leaf(values, violated)`` is called for every leaf that is not cut and
-    returns the new bound; the search stops once the bound is 0.  Returns
-    the final bound.  More than ``cap`` variables raise CapExceededError
-    before a constraint is read, so callers may pass them lazily.
-    """
-    n = len(domains)
-    check_cap(n, cap)
-    # due[d]: (scope reader, allowed tuples) of the constraints completed at d
-    due: list[list] = [[] for _ in range(n)]
-    for positions, allowed in constraints:
-        if len(positions) == 1:
-            # itemgetter of one position reads a bare value, not a 1-tuple
-            allowed = {t[0] for t in allowed}
-        due[max(positions)].append((itemgetter(*positions), allowed))
-    values: list = [None] * n
-
-    def descend(depth: int, violated: int) -> None:
-        nonlocal bound
-        if depth == n:
-            bound = leaf(tuple(values), violated)
-            return
-        checks = due[depth]
-        for value in domains[depth]:
-            values[depth] = value
-            count = violated
-            for read, allowed in checks:
-                if read(values) not in allowed:
-                    count += 1
-                    if count >= bound:
-                        break
-            else:
-                descend(depth + 1, count)
-                # no sibling can do better once the bound is down to this count
-                if bound <= violated:
-                    return
-
-    descend(0, 0)
-    return bound
 
 
 def search_assignments(graph: KSGraph, cap: int = SEARCH_CAP) -> TheoremVerdict:

@@ -12,21 +12,22 @@ and responses carry no preparation argument (lambda-sufficiency).
 The existence search ranges over deterministic outcome assignments to the
 basic measurements only; noncontextual value-definite responses factorize,
 so nothing more general can exist.  Parity supports make a GF(2) system for
-``parity``; any others get one ``graph.depth_first`` pass, which
-checks each support once its members have values: ``search_states`` and
-``min_violation_fraction`` branch-and-bound the number of violated joints
-until an assignment violates none, and the latter stops there;
-``search_ncvd`` cuts a branch at its first violation.
+``parity``; any others get one pass of ``depth_first``, the package's one
+search over general table constraints, which checks each support once its
+members have values: ``search_states`` and ``min_violation_fraction``
+branch-and-bound the number of violated joints until an assignment violates
+none, and the latter stops there; ``search_ncvd`` cuts a branch at its
+first violation.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import prod
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from operator import itemgetter
+from typing import Callable, Collection, Iterable, Mapping, NamedTuple, Sequence
 
-from .errors import NotTwoValuedError
-from .graph import SEARCH_CAP, check_cap, depth_first
+from .errors import SEARCH_CAP, NotTwoValuedError, check_cap
 from .operational import KNOWN_TOL, Family, Joint, Measurement, OperationalTheory
 from .operational import differs, distribution_problem, is_nondisturbing, support
 from .parity import first_solution, least_violated, solutions
@@ -294,6 +295,61 @@ def classify_model(model: OntologicalModel, theory: OperationalTheory) -> ModelV
 def _state_name(outcomes: Iterable[str]) -> str:
     """Ontic state of an assignment: the basics' outcome labels, in order."""
     return ",".join(outcomes)
+
+
+def depth_first(
+    domains: Sequence[Sequence],
+    constraints: Iterable[tuple[Sequence[int], Collection[tuple]]],
+    bound: int,
+    leaf: Callable[[tuple, int], int],
+    cap: int = SEARCH_CAP,
+) -> int:
+    """Depth-first search over assignments of ``domains[d]`` to variable d.
+
+    Variables get values in index order, each trying its domain in order,
+    so leaves come in ``itertools.product`` order.  A constraint
+    ``(positions, allowed)`` is violated when the values at ``positions``,
+    read in that order, form a tuple outside ``allowed``; it is checked when
+    its highest position gets a value.  A branch is cut as soon as its number
+    of violated constraints reaches ``bound`` (at least 1 to start with).
+    ``leaf(values, violated)`` is called for every leaf that is not cut and
+    returns the new bound; the search stops once the bound is 0.  Returns
+    the final bound.  More than ``cap`` variables raise CapExceededError
+    before a constraint is read, so callers may pass them lazily.
+    """
+    n = len(domains)
+    check_cap(n, cap)
+    # due[d]: (scope reader, allowed tuples) of the constraints completed at d
+    due: list[list] = [[] for _ in range(n)]
+    for positions, allowed in constraints:
+        if len(positions) == 1:
+            # itemgetter of one position reads a bare value, not a 1-tuple
+            allowed = {t[0] for t in allowed}
+        due[max(positions)].append((itemgetter(*positions), allowed))
+    values: list = [None] * n
+
+    def descend(depth: int, violated: int) -> None:
+        nonlocal bound
+        if depth == n:
+            bound = leaf(tuple(values), violated)
+            return
+        checks = due[depth]
+        for value in domains[depth]:
+            values[depth] = value
+            count = violated
+            for read, allowed in checks:
+                if read(values) not in allowed:
+                    count += 1
+                    if count >= bound:
+                        break
+            else:
+                descend(depth + 1, count)
+                # no sibling can do better once the bound is down to this count
+                if bound <= violated:
+                    return
+
+    descend(0, 0)
+    return bound
 
 
 def _support_search(

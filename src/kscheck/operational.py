@@ -13,7 +13,6 @@ checks and the same non-disturbance check serve them.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations, product
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
@@ -22,8 +21,11 @@ from .pauli import check_commuting
 from .values import Frozen, Value
 
 # ``from_quantum`` imports the Born rule where it fills tables, so explicit
-# tables load no quantum module
+# tables load no quantum module; this module makes no Fraction, so it loads
+# no ``fractions`` either
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     from .graph import KSGraph
     from .state import DensityOperator
 

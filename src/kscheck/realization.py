@@ -23,8 +23,8 @@ from math import prod
 from operator import and_
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import BadArgumentError
-from .graph import SEARCH_CAP, KSGraph, _maximal_cliques, check_cap
+from .errors import SEARCH_CAP, BadArgumentError, check_cap
+from .graph import KSGraph, _maximal_cliques
 from .operational import Realization, differs, quantum_joints
 from .parity import bits, first_solution
 from .pauli import all_commute, commutation_masks

@@ -108,6 +108,9 @@ def load_scenario(source: str) -> Scenario:
     """Load a builtin by name or a scenario JSON file by path."""
     if source in BUILTIN_NAMES:
         return builtin_scenario(source)
+    if not source:
+        # Path("") is the working directory, which names no scenario
+        _fail("no builtin or file named ''", "$")
     try:
         raw = Path(source).read_bytes()
     except (FileNotFoundError, NotADirectoryError, ValueError):
@@ -138,31 +141,30 @@ def load_scenario(source: str) -> Scenario:
 
 def builtin_scenario(name: str) -> Scenario:
     """A built-in by name.  The graph, theory and models are built at once;
-    states and realizations are built when a verb first reads them."""
-    from . import catalog
-
+    states and realizations are built when a verb first reads them.  The
+    box and army built-ins come from ``boxes``, so they load no graph layer."""
     digest = f"builtin:{name}"
-    graph_blocks = catalog.graph_blocks().get(name)
-    if graph_blocks is not None:
-        return Scenario(
-            name=name,
-            digest=digest,
-            graph=graph_blocks.graph(),
-            states=LazyBlocks(graph_blocks.states),
-            realizations=LazyBlocks(graph_blocks.realizations),
-        )
-    if name in ("box-m1", "box-m2", "box-m3"):
-        fixture = {
-            "box-m1": catalog.box_m1,
-            "box-m2": catalog.box_m2,
-            "box-m3": catalog.box_m3,
-        }[name]()
+    if name in ("box-m1", "box-m2", "box-m3", "army"):
+        from . import boxes
+
+        if name == "army":
+            return Scenario(name=name, digest=digest, theory=boxes.army_theory())
+        fixture = {"box-m1": boxes.box_m1, "box-m2": boxes.box_m2, "box-m3": boxes.box_m3}[name]()
         return Scenario(
             name=name,
             digest=digest,
             theory=fixture.theory,
             models={name.replace("box-", ""): fixture.model},
         )
-    if name == "army":
-        return Scenario(name=name, digest=digest, theory=catalog.army_theory())
-    raise ScenarioParseError(f"unknown builtin {name!r}", "$")
+    from . import catalog
+
+    graph_blocks = catalog.graph_blocks().get(name)
+    if graph_blocks is None:
+        raise ScenarioParseError(f"unknown builtin {name!r}", "$")
+    return Scenario(
+        name=name,
+        digest=digest,
+        graph=graph_blocks.graph(),
+        states=LazyBlocks(graph_blocks.states),
+        realizations=LazyBlocks(graph_blocks.realizations),
+    )

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 import kscheck
-from kscheck import catalog
+from kscheck import boxes, catalog
 
 
 @pytest.fixture
@@ -55,7 +55,7 @@ def ghz_theory_standard():
 
 @pytest.fixture(scope="session")
 def box_fixtures():
-    return (catalog.box_m1(), catalog.box_m2(), catalog.box_m3())
+    return (boxes.box_m1(), boxes.box_m2(), boxes.box_m3())
 
 
 @pytest.fixture(params=["directory", "unreadable", "name-too-long", "not-utf8", "too-deep"])

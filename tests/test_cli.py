@@ -22,6 +22,8 @@ from kscheck.parity import CHUNK_ROWS
 from kscheck.scenario import Scenario
 from kscheck.scenario_json import parse_scenario, scenario_to_dict
 
+import argparse_oracle
+
 SINGLE_EDGE = {
     "name": "single-edge",
     "vertices": [
@@ -83,6 +85,65 @@ def narrowed_square(tmp_path) -> str:
     return str(path)
 
 
+def readme_commands() -> list[list[str]]:
+    """The argument lists of the README's ``kscheck`` command lines."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = re.findall(r"^kscheck (.*?)(?:\s+#.*)?$", readme, re.M)
+    return [line.split() for line in lines]
+
+
+# command lines that argparse_oracle.parse and cli.parse_args must read alike
+ARGV_CORPUS = [
+    *readme_commands(),
+    *(
+        argv
+        for verb in ("verify", "search-model", "ghz", "robustness")
+        for argv in ([verb, "ghz", "--cap", "5"], [verb, "ghz", "--cap=5"])
+    ),
+    *(
+        argv
+        for verb in ("classify", "search-model", "ghz", "robustness")
+        for argv in (
+            [verb, "ghz", "--realization", "full"],
+            [verb, "ghz", "--realization=full"],
+        )
+    ),
+    ["ghz", "ghz", "--tuple", "+1,+1,+1,-1"],
+    ["ghz", "ghz", "--tuple=+1,+1,+1,-1"],
+    ["ghz", "ghz", "--tuple", "-1,+1,+1,+1"],
+    ["ghz", "ghz", "--tuple=-1,+1,+1,+1"],
+    ["ghz", "ghz", "--flip-sign", "--json"],
+    ["ghz", "ghz", "--json=yes"],
+    ["ghz", "ghz", "--tuple"],
+    ["ghz", "ghz", "--tuple", "--json"],
+    ["verify", "ghz", "--cap", "-1"],
+    ["verify", "ghz", "--cap", "x"],
+    ["verify", "ghz", "--cap", "3", "--cap", "9"],
+    ["verify", "peres-mermin", "--seed", "7"],
+    ["search-model", "peres-mermin", "--real", "full"],
+    ["verify", "--json", "ghz"],
+    ["catalog", "--json", "ghz"],
+    ["verify", ""],
+    ["verify", "--", "ghz"],
+    ["verify", "--json", "--", "ghz"],
+    [],
+    ["bogus"],
+    ["--json"],
+    ["verify"],
+    ["classify", "--realization", "spin"],
+    ["verify", "ghz", "ghz"],
+    ["catalog", "ghz", "army"],
+    ["classify", "ghz", "--cap", "3"],
+    ["catalog", "--cap", "3"],
+    ["catalog", "ghz", "--cap=3"],
+    ["classify", "ghz", "--flip-sign"],
+    ["-h"],
+    ["--help"],
+    *([verb, "-h"] for verb in ("verify", "classify", "search-model", "ghz", "robustness", "catalog")),
+    ["ghz", "ghz", "--help"],
+]
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -100,14 +161,18 @@ def builtin_doc(capsys, name):
     return json.loads(out)["verdicts"]["scenario"]
 
 
-# run one CLI call on sys.argv[1:] and print its exit code and the kscheck
-# modules it loaded
-LOADED_MODULES = """
+# standard-library modules that a cold call should load only where it uses them
+WATCHED_STDLIB = ("argparse", "gettext", "locale", "fractions", "decimal")
+
+# run one CLI call on sys.argv[1:] and print its exit code, the kscheck
+# modules it loaded and which of WATCHED_STDLIB it loaded
+LOADED_MODULES = f"""
 import contextlib, io, json, sys
 from kscheck import cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(sys.argv[1:])
-print(json.dumps([code, sorted(n for n in sys.modules if n.startswith("kscheck."))]))
+watched = {WATCHED_STDLIB!r}
+print(json.dumps([code, sorted(n for n in sys.modules if n.startswith("kscheck.") or n in watched)]))
 """
 
 
@@ -747,7 +812,10 @@ print(json.dumps([code, added, hashlib_loaded, builtin, digest]))
         """``import kscheck`` loads no submodule; verify on a file with states
         and realizations loads no Born-rule, exact, theory or ontology
         module, classify loads no Born rule, and neither verify nor
-        robustness loads realization or catalog."""
+        robustness loads realization or catalog.  No call loads argparse,
+        gettext or locale; verify and classify on a graph built-in and the
+        catalog list load no fractions or decimal; and the box built-ins and
+        the catalog list load no graph layer."""
         path = tmp_path / "pm.json"
         path.write_text(json.dumps(builtin_doc(capsys, "peres-mermin")))
         script = """
@@ -797,21 +865,33 @@ print(json.dumps([bare, loaded]))
         assert code == 0
         assert "kscheck.realization" in after_classify
         assert "kscheck.quantum" not in after_classify, "classify on a file loaded quantum"
+        for name in ("argparse", "gettext", "locale"):
+            assert name not in after_classify, f"classify on a file loaded {name}"
 
         # each built-in call in a fresh interpreter: only the blocks its verb
         # reads are built, and only their engines load
         graph_only = (
-            "quantum", "operational", "realization", "ontology", "exact", "scenario_json"
+            "quantum", "operational", "realization", "ontology", "exact", "scenario_json", "boxes"
         )
+        exact_free = ("fractions", "decimal")
         unloaded_by_call = [
-            (["verify", "peres-mermin"], graph_only),
-            (["verify", "ghz"], graph_only),
-            (["catalog"], graph_only),
-            (["classify", "ghz", "--realization", "standard"], ("quantum", "ontology")),
-            (["search-model", "box-m1"], ("quantum", "realization")),
-            (["robustness", "ghz", "--realization", "full"], ("realization",)),
+            (["verify", "peres-mermin"], "catalog", graph_only + exact_free),
+            (["verify", "ghz"], "catalog", graph_only + exact_free),
+            (["catalog"], "catalog", graph_only + exact_free + ("graph", "pauli")),
+            (
+                ["classify", "peres-mermin", "--realization", "spin"],
+                "catalog",
+                ("quantum", "ontology", "boxes") + exact_free,
+            ),
+            (
+                ["classify", "ghz", "--realization", "standard"],
+                "catalog",
+                ("quantum", "ontology", "boxes") + exact_free,
+            ),
+            (["search-model", "box-m1"], "boxes", ("quantum", "realization", "catalog", "graph")),
+            (["robustness", "ghz", "--realization", "full"], "catalog", ("realization", "boxes")),
         ]
-        for argv, unloaded in unloaded_by_call:
+        for argv, builtins, unloaded in unloaded_by_call:
             proc = subprocess.run(
                 [sys.executable, "-c", LOADED_MODULES, *argv],
                 capture_output=True,
@@ -822,9 +902,12 @@ print(json.dumps([bare, loaded]))
             assert proc.returncode == 0, proc.stderr
             code, loaded = json.loads(proc.stdout)
             assert code == 0, argv
-            assert "kscheck.catalog" in loaded, argv
+            assert f"kscheck.{builtins}" in loaded, argv
             for name in unloaded:
-                assert f"kscheck.{name}" not in loaded, f"{argv} loaded {name}"
+                module = name if name in WATCHED_STDLIB else f"kscheck.{name}"
+                assert module not in loaded, f"{argv} loaded {name}"
+            for name in ("argparse", "gettext", "locale"):
+                assert name not in loaded, f"{argv} loaded {name}"
 
     def test_invalid_graph_exit_three(self, capsys, tmp_path):
         doc = {
@@ -935,7 +1018,7 @@ print(json.dumps([bare, loaded]))
         # witness rows are tuples before and after; `lines` is text only
         path = tmp_path / "single.json"
         path.write_text(json.dumps(SINGLE_EDGE))
-        args = cli.build_parser().parse_args([a or str(path) for a in argv])
+        args = cli.parse_args([a or str(path) for a in argv])
         report = args.func(args)
         back = Report.from_dict(json.loads(report.to_json()))
         assert back.to_dict() == report.to_dict()
@@ -1017,6 +1100,35 @@ print(json.dumps([bare, loaded]))
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--cap", "3"])
         assert exc.value.code == 2
+
+    def test_empty_path_names_no_file(self, capsys):
+        # Path("") is the working directory, a directory and no scenario
+        code, out, err = run(capsys, "verify", "")
+        assert code == 2
+        assert out == ""
+        assert err == "parse error: $: no builtin or file named ''\n"
+
+    @pytest.mark.parametrize("argv", ARGV_CORPUS, ids=" ".join)
+    def test_argv_reads_as_argparse_read_it(self, capsys, argv):
+        """``parse_args`` gives argparse's namespace, or exits as it did: 2
+        with a usage line on stderr, or 0 with the help on stdout."""
+
+        def read(parse):
+            try:
+                return vars(parse(argv))
+            except SystemExit as exc:
+                return exc.code
+
+        expected = read(argparse_oracle.parse)
+        capsys.readouterr()
+        assert read(cli.parse_args) == expected
+        out, err = capsys.readouterr()
+        if expected == 2:
+            assert out == "" and err.startswith("usage: kscheck"), err
+        elif expected == 0:
+            assert err == "" and out.startswith("usage: kscheck"), out
+        else:
+            assert out == err == ""
 
     @pytest.mark.parametrize("verb", ["verify", "classify", "search-model", "ghz", "robustness"])
     def test_identity_vertex_is_an_invalid_graph(self, capsys, tmp_path, verb):

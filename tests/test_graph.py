@@ -14,11 +14,11 @@ from kscheck.graph import (
     KSGraph,
     admissible_tuples,
     build_graph,
-    depth_first,
     derive_hyperedges,
     parity_certificate,
     search_assignments,
 )
+from kscheck.ontology import depth_first
 from kscheck.parity import CHUNK_ROWS
 from kscheck.pauli import LETTERS, PauliString, Phase
 

@@ -10,11 +10,12 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from kscheck import ontology
-from kscheck.errors import CapExceededError
-from kscheck.graph import SEARCH_CAP, build_graph, depth_first, search_assignments
+from kscheck.errors import SEARCH_CAP, CapExceededError
+from kscheck.graph import build_graph, search_assignments
 from kscheck.ontology import (
     OntologicalModel,
     _support_search,
+    depth_first,
     classify_model,
     factorizes,
     is_noncontextual,

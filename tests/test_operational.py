@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from kscheck import catalog
+from kscheck import boxes
 from kscheck.errors import InvalidGraphError, MarginalAmbiguityError
 from kscheck.graph import admissible_tuples
 from kscheck.operational import (
@@ -129,7 +129,7 @@ class TestNoDisturbance:
         assert ok
 
     def test_army_example_is_disturbing(self):
-        theory = catalog.army_theory()
+        theory = boxes.army_theory()
         ok, witnesses = is_nondisturbing(theory)
         assert not ok
         assert any(w.sub_joint == ("shooting",) for w in witnesses)

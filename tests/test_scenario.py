@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from kscheck import catalog
+from kscheck import boxes, catalog
 from kscheck.cli import Report, main
 from kscheck.errors import InvalidGraphError, ScenarioParseError
 from kscheck.operational import Realization
@@ -231,8 +231,8 @@ def eager_builtin(name: str) -> Scenario:
             },
         )
     if name == "army":
-        return Scenario(name, digest, theory=catalog.army_theory())
-    fixture = {"box-m1": catalog.box_m1, "box-m2": catalog.box_m2, "box-m3": catalog.box_m3}[name]()
+        return Scenario(name, digest, theory=boxes.army_theory())
+    fixture = {"box-m1": boxes.box_m1, "box-m2": boxes.box_m2, "box-m3": boxes.box_m3}[name]()
     return Scenario(
         name, digest, theory=fixture.theory, models={name.replace("box-", ""): fixture.model}
     )

@@ -8,7 +8,8 @@ instance; and every ``repr`` keeps its ``Name(field=value, ...)`` form.
 import pytest
 
 from kscheck import pauli
-from kscheck.catalog import CATALOG, BoxFixture
+from kscheck.boxes import BoxFixture
+from kscheck.catalog import CATALOG
 from kscheck.cli import Report
 from kscheck.graph import ParityCertificate, TheoremVerdict, build_graph
 from kscheck.ontology import Check, ModelVerdict
