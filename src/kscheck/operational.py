@@ -17,6 +17,7 @@ from itertools import combinations, product
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import InvalidGraphError, MarginalAmbiguityError
+from .parity import bits
 from .pauli import check_commuting
 from .values import Frozen, Value
 
@@ -94,12 +95,14 @@ class Measurement(Frozen):
 class Family:
     """A comeasurability family held by its maximal members, in a fixed
     order: by their labels' positions in ``labels`` (other labels follow by
-    name).  Every basic label is a member.  ``in`` is a subset test against
-    the maximal members; iterating lists the whole downward closure lazily,
-    each member once, for the checks that need every member.
+    name).  Every basic label is a member.  One index maps each label to
+    the bit mask of the maximal members holding it (bit i for
+    ``maximal[i]``); ``holding``, ``in`` and iterating read it.  Iterating
+    lists the downward closure lazily, each member under the first maximal
+    member holding it, for the checks that need every member.
     """
 
-    __slots__ = ("maximal",)
+    __slots__ = ("maximal", "_holders")
 
     def __init__(self, declared: Iterable[Iterable[str]], labels: Iterable[str]):
         candidates = {frozenset(raw) for raw in declared} - {frozenset()}
@@ -113,18 +116,28 @@ class Family:
             if not any(joint <= other for other in kept):
                 kept.append(joint)
         self.maximal = tuple(sorted(kept, key=lambda j: sorted(map(rank.get, j))))
+        self._holders: dict[str, int] = {}
+        for i, top in enumerate(self.maximal):
+            for label in top:
+                self._holders[label] = self._holders.get(label, 0) | 1 << i
+
+    def holding(self, labels: Iterable[str]) -> int:
+        """Bit i is set iff ``maximal[i]`` holds every label; 0 for no labels."""
+        mask = -1
+        for label in labels:
+            mask &= self._holders.get(label, 0)
+        return max(mask, 0)
 
     def __contains__(self, joint) -> bool:
-        member = isinstance(joint, (set, frozenset)) and bool(joint)
-        return member and any(joint <= m for m in self.maximal)
+        return isinstance(joint, (set, frozenset)) and self.holding(joint) != 0
 
     def __iter__(self):
         for i, top in enumerate(self.maximal):
+            earlier = (1 << i) - 1
             for size in range(1, len(top) + 1):
                 for combo in combinations(sorted(top), size):
-                    joint = frozenset(combo)
-                    if not any(joint <= m for m in self.maximal[:i]):
-                        yield joint
+                    if not self.holding(combo) & earlier:
+                        yield frozenset(combo)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -213,6 +226,8 @@ class OperationalTheory:
             if joint not in self.family:
                 # joint_name would drop a label that is no basic measurement
                 raise ValueError(f"table for {'&'.join(sorted(joint))} outside the family")
+            if joint in self.tables:
+                raise ValueError(f"two tables for {self.joint_name(joint)}")
             self.tables[joint] = {
                 prep: dict(dist) for prep, dist in per_prep.items()
             }
@@ -304,11 +319,8 @@ def marginal(
     if joint not in theory.family:
         raise ValueError(f"{set(joint)} is not in the comeasurability family")
     outcomes = tuple(outcomes)
-    containers = [
-        m for m in theory.maximal_joints if joint <= m and m in theory.tables
-    ]
-    if not containers:
-        raise ValueError(f"no maximal joint contains {set(joint)}")
+    # every maximal joint has a table, so a member has a container
+    containers = [theory.maximal_joints[i] for i in bits(theory.family.holding(joint))]
     values = [
         (c, _marginal_from(theory.tables[c][prep], _positions(theory, c, joint)).get(outcomes, 0))
         for c in containers

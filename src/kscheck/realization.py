@@ -18,9 +18,10 @@ certificate for every edge that rules the lemma's counterexample out.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import reduce
 from math import prod
-from operator import and_
+from operator import and_, or_
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import SEARCH_CAP, BadArgumentError, check_cap
@@ -58,22 +59,14 @@ def is_hyperedge_based(
     return (bool(edges), tuple(edges))
 
 
-def edge_represents_simultaneous(
-    graph: KSGraph, realization: Realization, edge_index: int
-) -> tuple[bool, tuple[str, ...] | None, bool]:
-    """Whether some choice of one measurement per vertex is comeasurable.
-
-    One exists iff every vertex's association meets some maximal
-    comeasurable set M.  Returns (ok, a witnessing selection, each vertex's
-    least label in the first such M, or None, whether a choice among
-    multiple associations was involved).
-    """
-    options = [realization.assoc[v] for v in graph.hyperedges[edge_index]]
-    had_choice = any(len(a) > 1 for a in options)
-    for top in realization.comeasurable.maximal:
-        if all(not top.isdisjoint(a) for a in options):
-            return (True, tuple(min(a & top) for a in options), had_choice)
-    return (False, None, had_choice)
+def _simultaneous(graph: KSGraph, realization: Realization) -> list[bool]:
+    """Per edge, whether some choice of one measurement per vertex is
+    comeasurable: whether one maximal comeasurable set meets every vertex's
+    association.  A vertex's mask holds the maximal sets its association
+    meets, and an edge's is the AND of its vertices' masks."""
+    holding = realization.comeasurable.holding
+    meets = [reduce(or_, (holding((label,)) for label in a), 0) for a in realization.assoc]
+    return [reduce(and_, map(meets.__getitem__, edge)) != 0 for edge in graph.hyperedges]
 
 
 class ArgumentType(Frozen):
@@ -96,14 +89,15 @@ class ArgumentType(Frozen):
 
 def classify_type(graph: KSGraph, realization: Realization) -> ArgumentType:
     """Type I/II/III according to the edges not representing simultaneous
-    measurements (existential over per-vertex measurement choices)."""
+    measurements (existential over per-vertex measurement choices), all
+    decided in one pass over the family's label index (``_simultaneous``)."""
     failing = []
     flagged = []
-    for e_idx in range(len(graph.hyperedges)):
-        ok, _, had_choice = edge_represents_simultaneous(graph, realization, e_idx)
+    simultaneous = _simultaneous(graph, realization)
+    for e_idx, (edge, ok) in enumerate(zip(graph.hyperedges, simultaneous)):
         if not ok:
             failing.append(e_idx)
-        elif had_choice:
+        elif any(len(realization.assoc[v]) > 1 for v in edge):
             flagged.append(e_idx)
     count = len(failing)
     kind = "I" if count == 0 else ("II" if count == 1 else "III")
@@ -137,21 +131,15 @@ def lemma_check(graph: KSGraph, realization: Realization) -> LemmaCheck:
     vertices).
     """
     based, based_edges = is_hyperedge_based(graph, realization)
-    all_ok = all(
-        edge_represents_simultaneous(graph, realization, e)[0]
-        for e in range(len(graph.hyperedges))
-    )
+    all_ok = all(_simultaneous(graph, realization))
     antecedent = based and all_ok
     unique = is_unique(realization)
     singly = is_singly_associated(realization)
     witnesses: tuple[int, ...] = ()
     if antecedent:
-        crossing = []
-        for e_idx in based_edges:
-            for v in graph.hyperedges[e_idx]:
-                if graph.vertex_degree(v) >= 2 and v not in crossing:
-                    crossing.append(v)
-        witnesses = tuple(crossing)
+        degree = Counter(v for edge in graph.hyperedges for v in edge)
+        crossing = (v for e in based_edges for v in graph.hyperedges[e] if degree[v] >= 2)
+        witnesses = tuple(dict.fromkeys(crossing))
     return LemmaCheck(
         hyperedge_based=based,
         hyperedge_based_edges=based_edges,

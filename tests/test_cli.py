@@ -668,7 +668,8 @@ class TestExitCodesAndDeterminism:
             env=child_env(),
         )
         proc.stdout.close()  # the reader goes away before the report is written
-        err = proc.stderr.read().decode()
+        with proc.stderr:
+            err = proc.stderr.read().decode()
         assert proc.wait(timeout=60) == 0
         assert "Traceback" not in err
 

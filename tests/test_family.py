@@ -1,6 +1,6 @@
-"""Comeasurability families held by their maximal sets, against the
-materialized closures they replaced, and at the size of all Pauli words on
-two and three qubits."""
+"""Comeasurability families held by their maximal sets and their label
+index, against the materialized closures and the per-edge scan they
+replaced, and at the size of all Pauli words on two and three qubits."""
 
 import time
 from itertools import combinations, product
@@ -10,20 +10,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kscheck import catalog
-from kscheck.graph import build_graph
+from kscheck.graph import KSGraph, build_graph
 from kscheck.ontology import OntologicalModel
 from kscheck.operational import Measurement
+from kscheck.parity import bits
 from kscheck.pauli import all_commute, commutation_masks
 from kscheck.realization import (
     Realization,
     classify_type,
     commuting_realization,
-    edge_represents_simultaneous,
     hyperedge_realization,
     lemma_check,
 )
 
-# -- oracles: the closures and the selection product the family replaced ------
+# -- oracles: the closures, the selection product and the scan the index replaced
 
 
 def close_family(declared, basic_labels):
@@ -82,6 +82,24 @@ def product_check(graph, assoc, closure, edge_index):
     return ok, had_choice
 
 
+def edge_represents_simultaneous(
+    graph: KSGraph, realization: Realization, edge_index: int
+) -> tuple[bool, tuple[str, ...] | None, bool]:
+    """Whether some choice of one measurement per vertex is comeasurable.
+
+    One exists iff every vertex's association meets some maximal
+    comeasurable set M.  Returns (ok, a witnessing selection, each vertex's
+    least label in the first such M, or None, whether a choice among
+    multiple associations was involved).
+    """
+    options = [realization.assoc[v] for v in graph.hyperedges[edge_index]]
+    had_choice = any(len(a) > 1 for a in options)
+    for top in realization.comeasurable.maximal:
+        if all(not top.isdisjoint(a) for a in options):
+            return (True, tuple(min(a & top) for a in options), had_choice)
+    return (False, None, had_choice)
+
+
 # -- random realizations of at most 12 labels -----------------------------------
 
 LABEL_LIMIT = 12
@@ -131,6 +149,8 @@ class TestFamilyAgainstClosure:
         for size in range(len(labels) + 1):
             for subset in combinations(labels, size):
                 assert (frozenset(subset) in family) == (frozenset(subset) in closure)
+                holders = {i for i, m in enumerate(family.maximal) if set(subset) <= m}
+                assert set(bits(family.holding(subset))) == (holders if subset else set())
 
         # equal iff the closures are: from the closure itself, and with one
         # declared set dropped
@@ -162,15 +182,13 @@ class TestFamilyAgainstClosure:
             checked = [(realization, closure), (commuting, expected)]
 
         for r, oracle in checked:
-            for e, edge in enumerate(graph.hyperedges):
-                ok, selection, had_choice = edge_represents_simultaneous(graph, r, e)
-                assert (ok, had_choice) == product_check(graph, assoc, oracle, e)
-                if ok:
-                    assert len(selection) == len(edge)
-                    assert all(label in assoc[v] for label, v in zip(selection, edge))
-                    assert frozenset(selection) in r.comeasurable
-                else:
-                    assert selection is None
+            kind = classify_type(graph, r)
+            for e in range(len(graph.hyperedges)):
+                scanned = edge_represents_simultaneous(graph, r, e)
+                ok, had_choice = product_check(graph, assoc, oracle, e)
+                assert (scanned[0], scanned[2]) == (ok, had_choice)
+                assert (e in kind.non_comeasurable_edges) == (not ok)
+                assert (e in kind.choice_flagged_edges) == (ok and had_choice)
 
 
 # -- every Pauli word on two and three qubits -----------------------------------
@@ -183,9 +201,13 @@ def all_words_graph(n_qubits):
 
 class TestAllWords:
     # maximal commuting sets of the 4^n - 1 words are the Lagrangian
-    # subspaces, prod_{k=1..n} (2^k + 1) of them: 3 * 5 and 3 * 5 * 9
-    @pytest.mark.parametrize("n_qubits, n_words, count", [(2, 15, 15), (3, 63, 135)])
-    def test_commuting_and_hyperedge_realizations(self, n_qubits, n_words, count):
+    # subspaces, prod_{k=1..n} (2^k + 1) of them: 3 * 5 and 3 * 5 * 9; those
+    # through one word are the Lagrangians one dimension down,
+    # prod_{k=1..n-1} (2^k + 1) >= 3 of them: 3 and 3 * 5
+    @pytest.mark.parametrize(
+        "n_qubits, n_words, count, per_word", [(2, 15, 15, 3), (3, 63, 135, 15)]
+    )
+    def test_commuting_and_hyperedge_realizations(self, n_qubits, n_words, count, per_word):
         start = time.perf_counter()
         graph = all_words_graph(n_qubits)
         assert graph.n_vertices == n_words and len(graph.hyperedges) == count
@@ -195,4 +217,23 @@ class TestAllWords:
             assert len(realization.comeasurable.maximal) == count
             assert classify_type(graph, realization).kind == "I"
             assert lemma_check(graph, realization).holds
+        family = commuting.comeasurable
+        assert all(family.holding({label}).bit_count() == per_word for label in graph.labels)
+        assert all(len(a) == per_word for a in hyperedge.assoc)
+
+        # every vertex carries one measurement per line through it, so every
+        # line is based on its own measurement and simultaneous only by a choice
+        every_line = tuple(range(count))
+        assert classify_type(graph, hyperedge).choice_flagged_edges == every_line
+        lemma = lemma_check(graph, hyperedge)
+        assert lemma.hyperedge_based_edges == every_line
+        assert lemma.antecedent and lemma.holds_strict and not lemma.singly_associated
+        assert sorted(lemma.witnesses) == list(range(n_words))
+
+        lemma = lemma_check(graph, commuting)
+        assert lemma.unique and lemma.holds_strict
+        assert not lemma.hyperedge_based and lemma.hyperedge_based_edges == ()
+        assert lemma.all_edges_comeasurable and not lemma.antecedent
+        assert lemma.witnesses == ()
+        assert classify_type(graph, commuting).choice_flagged_edges == ()
         assert time.perf_counter() - start < 1.0

@@ -75,6 +75,17 @@ class TestStructure:
         with pytest.raises(ValueError, match="preparation labels must be distinct"):
             OperationalTheory(theory.basics, (), ("fair", "fair"), theory.tables)
 
+    def test_two_tables_for_one_joint_rejected(self):
+        """A joint's table written under two orders of its labels is refused,
+        not silently replaced by the later one."""
+        basics = [Measurement(label, (("+", 1), ("-", -1))) for label in "ab"]
+        tables = {
+            ("a", "b"): {"r": {("+", "+"): 1}},
+            ("b", "a"): {"r": {("-", "-"): 1}},
+        }
+        with pytest.raises(ValueError, match="two tables for a&b"):
+            OperationalTheory(basics, [("a", "b")], ("r",), tables)
+
 
 class TestMarginal:
     def test_containments_agree_for_the_square(self, pm_theory_full):
